@@ -35,7 +35,7 @@ let with_append_trace spans f =
   else f ()
 
 (* Refresh the memory gauge from the cheap introspection path — counters
-   plus the memo/arena byte accounting, no [Obj.reachable_words] walk, so
+   plus the memo/mirror word accounting, no [Obj.reachable_words] walk, so
    polling stays O(1) however long the stream gets.  The full walk still
    runs once where it matters: embedded (deep) in a rejection's evidence
    report.  The cheap [engine.*] state gauges are refreshed by the engine

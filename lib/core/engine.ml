@@ -75,7 +75,7 @@ type t = {
   mutable kernel : kernel option;
   mutable floor : int;
       (* nodes below this are folded: their dense per-node state (closure
-         pairs, memo rows, arena rows, provenance) was released by
+         pairs, memo rows, mirror rows, provenance) was released by
          {!truncate} and the frame's relations cover the window only.
          0 = untruncated.  The kernel is never kept while folded. *)
   mutable summary : summary option; (* the immutable fold record *)
@@ -574,7 +574,7 @@ let restore t =
    serial witness is part of the summary and of every later Accepted
    verdict), but the closure relations are emptied, the conflict memo's
    planes are dropped ({!History.memo_release}), the dense mirror rebases
-   onto the (initially empty) window and gives its Bigarray store back,
+   onto the (initially empty) window and gives its bit matrices back,
    and the kernel, snapshot, certificate and provenance index are
    released.  Session memory is O(active window) from here until a
    restore.  Idempotent: folding at an unchanged node count is a no-op.
@@ -1065,11 +1065,11 @@ let stats (t : t) =
 
 (* A counter-based estimate of the session's resident certification
    state, in words: the persistent closure pairs, the conflict-memo
-   planes, the dense mirror's Bigarray store (off-heap, invisible to
-   [Obj.reachable_words]) and the kernel's adjacency arrays.  Excludes
-   the immutable history itself — the estimate tracks the {e dense
-   derived} state that frontier truncation bounds, which is what the
-   memory-flatness gates watch.  O(1); safe to poll per append. *)
+   planes, the dense mirror's bit matrices (session state, outside the
+   frame that [Obj.reachable_words] walks) and the kernel's adjacency
+   arrays.  Excludes the immutable history itself — the estimate tracks
+   the {e dense derived} state that frontier truncation bounds, which is
+   what the memory-flatness gates watch.  O(1); safe to poll per append. *)
 let resident_estimate_words (t : t) =
   match t.cur with
   | None -> 0

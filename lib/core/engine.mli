@@ -140,7 +140,7 @@ val undo : t -> unit
     forward, window-shaped appends.  {!truncate} exploits this by folding
     the certified prefix into an immutable {!summary} and releasing the
     dense per-node state — closure pairs, conflict-memo planes
-    ({!History.memo_release}), the dense mirror's Bigarray arenas, the
+    ({!History.memo_release}), the dense mirror's bit matrices, the
     order kernel, the provenance index — so a monitored session's memory
     is O(active window), not O(prefix).
 
@@ -264,11 +264,11 @@ val restores : t -> int
 val resident_estimate_words : t -> int
 (** O(1) counter-based estimate of the session's resident {e dense
     certification} state, in words: closure pairs, conflict-memo planes,
-    the mirror's off-heap Bigarray store (invisible to
-    [Obj.reachable_words]), kernel adjacency and the provenance index.
-    Excludes the immutable history array.  This is the quantity frontier
-    truncation bounds, and the series the memory-flatness CI gates
-    watch. *)
+    the mirror's bit matrices (session state, outside the frame that
+    [Obj.reachable_words] walks), kernel adjacency and the provenance
+    index.  Excludes the immutable history array.  This is the quantity
+    frontier truncation bounds, and the series the memory-flatness CI
+    gates watch. *)
 
 val introspect : ?deep:bool -> t -> Repro_obs.Json.t
 (** The session's state report ([engine-stats/1]): what this session is

@@ -9,7 +9,7 @@ type relations = {
 }
 (* Neither the inverse of [obs] nor the base pairs live here: {!extend}'s
    worklist saturation joins new pairs against predecessors on the dense
-   mirror's [inv_a] arena, and the base pairs are a pure function of the
+   mirror's [inv_a] relation, and the base pairs are a pure function of the
    history ({!base}), recomputed on the rare paths that want them
    (introspection, provenance checks).  Keeping either in step would put
    more persistent-map path copying on every append of a monitored
@@ -53,9 +53,9 @@ type variant = Final | No_forgetting | Eager_forgetting
    batch closure's constants win by 3-4x on the E9 workloads. *)
 (* The fixpoint runs entirely in the dense representation: the universe is
    the full node array of the history (identifiers are dense by
-   construction), propagation adds parent pairs in place into a copy, and
-   each round's transitive closure is the word-parallel kernel.  The
-   persistent [Rel.t] is produced once, at the boundary. *)
+   construction), and one relation serves every round: propagation adds
+   parent pairs to it and the word-parallel kernel closes it, both in
+   place.  The persistent [Rel.t] is produced once, at the boundary. *)
 let fixpoint variant h base =
   (* Propagation only ever adds pairs between ancestors of already-related
      nodes, so the dense universe is the base's nodes closed under
@@ -122,12 +122,16 @@ let fixpoint variant h base =
       cur;
     !changed
   in
-  let rec go cur =
+  let rec go () =
     incr rounds;
-    if propagate_dense cur then go (Bitrel.transitive_closure cur) else cur
+    if propagate_dense b0 then begin
+      Bitrel.close b0;
+      go ()
+    end
   in
-  let r = go (Bitrel.transitive_closure b0) in
-  (Rel.of_bitrel r, !rounds)
+  Bitrel.close b0;
+  go ();
+  (Rel.of_bitrel b0, !rounds)
 
 let compute_with ?(metrics = Repro_obs.Metrics.null) variant h =
   let base_obs = base_rules h in
@@ -218,9 +222,9 @@ type delta = {
   d_inp_strong : (id * id) list;
 }
 
-(* Dense mirror of the observed closure for the saturation loop: bit
-   arenas for membership and successor/predecessor scans, plus a
-   preallocated flat worklist, so the per-pair joins of {!extend} touch
+(* Dense mirror of the observed closure for the saturation loop: growable
+   {!Bitrel} matrices for membership and successor/predecessor scans, plus
+   a preallocated flat worklist, so the per-pair joins of {!extend} touch
    the minor heap only for the persistent [Rel.t] boundary at the end.
    The mirror is rebuilt from [prev.obs] whenever it is invalid (session
    start, undo, non-extension advance) — an O(|obs|) bit-set pass that
@@ -230,14 +234,14 @@ type inc = {
   mutable nodes : int; (* node count the mirror is synced to *)
   mutable floor : int;
       (* nodes below this are folded (engine frontier truncation): the
-         arenas index by [id - floor] and mirror only pairs with both
+         matrices index by [id - floor] and mirror only pairs with both
          endpoints at or above it.  Pairs from a folded source into the
-         window ("boundary pairs") are tracked outside the arenas; a
+         window ("boundary pairs") are tracked outside the matrices; a
          pair {e targeting} the folded region cannot be represented at
          all and raises {!Below_floor} — the engine's cue to restore the
          exact dense state. *)
-  obs_a : Arena.t;
-  inv_a : Arena.t;
+  obs_a : Bitrel.t;
+  inv_a : Bitrel.t;
   mutable q : int array; (* flattened (a, b) worklist *)
   mutable q_len : int;
 }
@@ -249,8 +253,8 @@ let inc_create () =
     valid = false;
     nodes = 0;
     floor = 0;
-    obs_a = Arena.make ~rows:0 ~cols:0;
-    inv_a = Arena.make ~rows:0 ~cols:0;
+    obs_a = Bitrel.make ~rows:0 ~cols:0;
+    inv_a = Bitrel.make ~rows:0 ~cols:0;
     q = Array.make 512 0;
     q_len = 0;
   }
@@ -260,7 +264,7 @@ let inc_invalidate inc = inc.valid <- false
 let inc_floor inc = inc.floor
 
 (* Move the mirror's floor.  Raising it (truncation) also gives the
-   arenas' backing store back — the whole point of the fold is that the
+   matrices' backing arrays back — the whole point of the fold is that the
    dense O(prefix²) bits stop being resident; lowering it to 0 (restore)
    just invalidates, since the next sync will need the full size again. *)
 let inc_rebase inc ~floor =
@@ -268,37 +272,37 @@ let inc_rebase inc ~floor =
   inc.floor <- floor;
   inc.valid <- false;
   if floor > 0 then begin
-    Arena.shrink inc.obs_a ~rows:0 ~cols:0;
-    Arena.shrink inc.inv_a ~rows:0 ~cols:0;
+    Bitrel.shrink inc.obs_a ~rows:0 ~cols:0;
+    Bitrel.shrink inc.inv_a ~rows:0 ~cols:0;
     if Array.length inc.q > 512 then inc.q <- Array.make 512 0
   end
 
 let inc_resident_words inc =
-  ((Arena.resident_bytes inc.obs_a + Arena.resident_bytes inc.inv_a + 7) / 8)
+  Bitrel.resident_words inc.obs_a + Bitrel.resident_words inc.inv_a
   + Array.length inc.q
 
 let inc_sync inc prev_obs ~n_old ~n_new =
   let fl = inc.floor in
   let w = max 0 (n_new - fl) in
   if not inc.valid then begin
-    Arena.reset inc.obs_a ~rows:w ~cols:w;
-    Arena.reset inc.inv_a ~rows:w ~cols:w;
+    Bitrel.reset inc.obs_a ~rows:w ~cols:w;
+    Bitrel.reset inc.inv_a ~rows:w ~cols:w;
     Rel.iter
       (fun a b ->
         (* Boundary pairs (folded source) live only in the persistent
            relation; pairs targeting the folded region never occur in a
            window relation (see [saturate_dense]). *)
         if a >= fl && b >= fl then begin
-          Arena.set inc.obs_a (a - fl) (b - fl);
-          Arena.set inc.inv_a (b - fl) (a - fl)
+          Bitrel.add inc.obs_a (a - fl) (b - fl);
+          Bitrel.add inc.inv_a (b - fl) (a - fl)
         end)
       prev_obs;
     inc.valid <- true;
     inc.nodes <- n_old
   end
   else begin
-    Arena.ensure inc.obs_a ~rows:w ~cols:w;
-    Arena.ensure inc.inv_a ~rows:w ~cols:w
+    Bitrel.ensure inc.obs_a ~rows:w ~cols:w;
+    Bitrel.ensure inc.inv_a ~rows:w ~cols:w
   end
 
 let inc_push inc a b =
@@ -322,7 +326,7 @@ let inc_push inc a b =
    caller can build the persistent relations (and feed the engine's
    incremental structures) from the exact delta.
 
-   With a nonzero floor (frontier truncation) the arenas cover only the
+   With a nonzero floor (frontier truncation) the matrices cover only the
    window and three pair shapes are distinguished:
    - window pairs (both endpoints >= floor): handled exactly as before,
      at offset coordinates;
@@ -369,22 +373,22 @@ let saturate_dense h inc ~prev_obs delta =
         Hashtbl.add boundary (a, b) ();
         added := (a, b) :: !added;
         incr n_added;
-        Arena.row_iter inc.obs_a (b - fl) (fun c ->
+        Bitrel.row_iter inc.obs_a (b - fl) (fun c ->
             let c = c + fl in
             if not (Hashtbl.mem boundary (a, c)) && not (Rel.mem a c prev_obs)
             then inc_push inc a c);
         climb a b
       end
     end
-    else if not (Arena.get inc.obs_a (a - fl) (b - fl)) then begin
-      Arena.set inc.obs_a (a - fl) (b - fl);
-      Arena.set inc.inv_a (b - fl) (a - fl);
+    else if not (Bitrel.mem inc.obs_a (a - fl) (b - fl)) then begin
+      Bitrel.add inc.obs_a (a - fl) (b - fl);
+      Bitrel.add inc.inv_a (b - fl) (a - fl);
       added := (a, b) :: !added;
       incr n_added;
-      Arena.row_iter inc.obs_a (b - fl) (fun c ->
-          if not (Arena.get inc.obs_a (a - fl) c) then inc_push inc a (c + fl));
-      Arena.row_iter inc.inv_a (a - fl) (fun c ->
-          if not (Arena.get inc.obs_a c (b - fl)) then inc_push inc (c + fl) b);
+      Bitrel.row_iter inc.obs_a (b - fl) (fun c ->
+          if not (Bitrel.mem inc.obs_a (a - fl) c) then inc_push inc a (c + fl));
+      Bitrel.row_iter inc.inv_a (a - fl) (fun c ->
+          if not (Bitrel.mem inc.obs_a c (b - fl)) then inc_push inc (c + fl) b);
       climb a b
     end
   done;

@@ -76,11 +76,12 @@ type delta = {
     persistent relations, which would cost O(|closure|) per append. *)
 
 type inc
-(** Reusable dense scratch for {!extend}: a Bigarray bit mirror of the
-    observed closure and its inverse (arenas only) plus a flat worklist, so the
-    saturation loop probes and scans bits instead of allocating through
-    the persistent maps.  One value per monitored session; it is rebuilt
-    from [prev.obs] transparently after {!inc_invalidate}. *)
+(** Reusable dense scratch for {!extend}: a growable {!Repro_order.Bitrel}
+    mirror of the observed closure and its inverse (dense only) plus a flat
+    worklist, so the saturation loop probes and scans bits instead of
+    allocating through the persistent maps.  One value per monitored
+    session; it is rebuilt from [prev.obs] transparently after
+    {!inc_invalidate}. *)
 
 val inc_create : unit -> inc
 
@@ -96,9 +97,9 @@ exception Below_floor of Ids.id * Ids.id
 
 val inc_rebase : inc -> floor:int -> unit
 (** Move the mirror's floor (frontier truncation): nodes below [floor]
-    are folded, the arenas index by [id - floor] and mirror only pairs
+    are folded, the matrices index by [id - floor] and mirror only pairs
     with both endpoints at or above it, and raising the floor releases
-    the arenas' backing store.  Implies {!inc_invalidate}.  Pairs from a
+    their backing arrays.  Implies {!inc_invalidate}.  Pairs from a
     folded source into the window ("boundary pairs") are kept in the
     persistent relation only and joined against window successors on the
     fly; pairs targeting the folded region raise {!Below_floor} during
@@ -109,9 +110,9 @@ val inc_rebase : inc -> floor:int -> unit
 val inc_floor : inc -> int
 
 val inc_resident_words : inc -> int
-(** Approximate words held by the mirror's backing store (the Bigarray
-    arenas live off the OCaml heap, so [Obj.reachable_words] cannot see
-    them) — the memory-accounting probe for engine introspection. *)
+(** Words held by the mirror's backing arrays and worklist (the mirror
+    belongs to the session, not to the frame that [Obj.reachable_words]
+    walks) — the memory-accounting probe for engine introspection. *)
 
 val extend :
   ?metrics:Repro_obs.Metrics.t ->

@@ -5,35 +5,30 @@ open Ids
    bitwise operators are oblivious to signedness. *)
 let bpw = Sys.int_size
 
-(* External id -> compact index.  Universes in this codebase are dense id
-   ranges (node ids are allocated consecutively), so the common case is a
-   plain offset array; a hashtable covers pathologically sparse universes
+let words_for bits = (bits + bpw - 1) / bpw
+
+(* External id -> compact index.  [make] relations index densely (id =
+   index).  Batch universes are dense id ranges too (node ids are
+   allocated consecutively), so the common compacted case is a plain
+   offset array; a hashtable covers pathologically sparse universes
    without blowing up memory. *)
 type index =
+  | Dense
   | Direct of { off : int; map : int array } (* map.(id - off) = idx or -1 *)
   | Table of (int, int) Hashtbl.t
 
+(* Every bit outside the active [rows] x [cols] window is zero: [add]
+   refuses it, [reset] zeroes the old window before moving it, and growth
+   starts from zeroed arrays.  Row scans and kernels rely on this to stop
+   at [cols] without masking. *)
 type t = {
-  ids : int array; (* compact index -> external id, strictly increasing *)
+  ids : int array; (* compact index -> external id; unused when [Dense] *)
   index : index;
-  words : int; (* words per row *)
-  rows : int array array; (* bit j of rows.(i): edge i -> j (compact) *)
+  mutable buf : int array; (* bit j of row i: word i * stride + j / bpw *)
+  mutable stride : int; (* words per row, >= 1 *)
+  mutable rows : int; (* active rows *)
+  mutable cols : int; (* active columns *)
 }
-
-(* 16-bit popcount table, built once. *)
-let pop16 =
-  lazy
-    (let t = Bytes.create 65536 in
-     for i = 0 to 65535 do
-       let rec count x acc = if x = 0 then acc else count (x lsr 1) (acc + (x land 1)) in
-       Bytes.unsafe_set t i (Char.chr (count i 0))
-     done;
-     t)
-
-let popcount x =
-  let t = Lazy.force pop16 in
-  let b i = Char.code (Bytes.unsafe_get t ((x lsr i) land 0xffff)) in
-  b 0 + b 16 + b 32 + b 48
 
 (* Number of trailing zeros of a non-zero word. *)
 let ntz x =
@@ -47,26 +42,15 @@ let ntz x =
   if !x land 0x1 = 0 then incr n;
   !n
 
-let size t = Array.length t.ids
+let make ~rows ~cols =
+  if rows < 0 || cols < 0 then invalid_arg "Bitrel.make: negative dimension";
+  let stride = max 1 (words_for cols) in
+  let buf = Array.make (rows * stride) 0 in
+  { ids = [||]; index = Dense; buf; stride; rows; cols }
 
-let universe t = Int_set.of_list (Array.to_list t.ids)
-
-let id_of_idx t i = t.ids.(i)
-
-let idx_of_id t v =
-  match t.index with
-  | Direct { off; map } ->
-    let k = v - off in
-    if k < 0 || k >= Array.length map || map.(k) < 0 then None else Some map.(k)
-  | Table tbl -> Hashtbl.find_opt tbl v
-
-let of_ids ids =
+(* [ids] is strictly increasing and owned by the result. *)
+let of_sorted ids =
   let n = Array.length ids in
-  for i = 1 to n - 1 do
-    if ids.(i - 1) >= ids.(i) then
-      invalid_arg "Bitrel.of_ids: ids must be strictly increasing"
-  done;
-  let ids = Array.copy ids in
   let index =
     if n = 0 then Direct { off = 0; map = [||] }
     else
@@ -82,131 +66,133 @@ let of_ids ids =
         Table tbl
       end
   in
-  let words = max 1 ((n + bpw - 1) / bpw) in
-  { ids; index; words; rows = Array.init n (fun _ -> Array.make words 0) }
+  let stride = max 1 (words_for n) in
+  { ids; index; buf = Array.make (n * stride) 0; stride; rows = n; cols = n }
 
-let create us = of_ids (Array.of_list (Int_set.elements us))
+let of_ids ids =
+  for i = 1 to Array.length ids - 1 do
+    if ids.(i - 1) >= ids.(i) then
+      invalid_arg "Bitrel.of_ids: ids must be strictly increasing"
+  done;
+  of_sorted (Array.copy ids)
 
-let copy t = { t with rows = Array.map Array.copy t.rows }
+let create us = of_sorted (Array.of_list (Int_set.elements us))
 
-let same_universe t1 t2 =
-  t1.ids == t2.ids
-  || (Array.length t1.ids = Array.length t2.ids
-     && Array.for_all2 ( = ) t1.ids t2.ids)
+(* A capacity of at least [need], growing by half: a streaming caller
+   pays O(1) amortized copying per appended row, and a stream that grows
+   one node at a time leaves at most a third of the array as slack. *)
+let grow cur need = if need <= cur then cur else max need (cur + ((cur + 1) / 2))
 
-let idx_exn t what v =
-  match idx_of_id t v with
-  | Some i -> i
-  | None -> invalid_arg (Fmt.str "Bitrel.%s: node %d outside the universe" what v)
+let ensure t ~rows ~cols =
+  (match t.index with
+  | Dense -> ()
+  | Direct _ | Table _ -> invalid_arg "Bitrel.ensure: not a make relation");
+  let cap = Array.length t.buf / t.stride in
+  let stride = grow t.stride (words_for cols) and cap' = grow cap rows in
+  if stride > t.stride || cap' > cap then begin
+    let buf = Array.make (cap' * stride) 0 in
+    for i = 0 to t.rows - 1 do
+      for w = 0 to t.stride - 1 do
+        buf.((i * stride) + w) <- t.buf.((i * t.stride) + w)
+      done
+    done;
+    t.buf <- buf;
+    t.stride <- stride
+  end;
+  t.rows <- max rows t.rows;
+  t.cols <- max cols t.cols
 
-let set_bit row j = row.(j / bpw) <- row.(j / bpw) lor (1 lsl (j mod bpw))
+let reset t ~rows ~cols =
+  Array.fill t.buf 0 (t.rows * t.stride) 0;
+  t.rows <- 0;
+  t.cols <- 0;
+  ensure t ~rows ~cols
 
-let get_bit row j = row.(j / bpw) land (1 lsl (j mod bpw)) <> 0
+(* The truncation path: a mirror built over a long prefix rebases onto a
+   small window and should stop pinning O(prefix²) bits.  A window the
+   array cannot hold is allocated tight too, without [ensure]'s growth
+   slack. *)
+let shrink t ~rows ~cols =
+  let stride = max 1 (words_for cols) in
+  let fits = stride <= t.stride && rows <= Array.length t.buf / t.stride in
+  if (not fits) || Array.length t.buf > 4 * stride * max 1 rows then begin
+    t.buf <- Array.make (rows * stride) 0;
+    t.stride <- stride;
+    t.rows <- 0
+  end;
+  reset t ~rows ~cols
 
-let add t a b = set_bit t.rows.(idx_exn t "add" a) (idx_exn t "add" b)
+let resident_words t = Array.length t.buf
+
+(* Compact index of [v] along a dimension of [len] indices, or -1. *)
+let idx t len v =
+  match t.index with
+  | Dense -> if v >= 0 && v < len then v else -1
+  | Direct { off; map } ->
+    let k = v - off in
+    if k < 0 || k >= Array.length map then -1 else map.(k)
+  | Table tbl -> ( try Hashtbl.find tbl v with Not_found -> -1)
+
+let ext t i = match t.index with Dense -> i | Direct _ | Table _ -> t.ids.(i)
+
+let get_bit t i j =
+  t.buf.((i * t.stride) + (j / bpw)) land (1 lsl (j mod bpw)) <> 0
+
+let add t a b =
+  let i = idx t t.rows a and j = idx t t.cols b in
+  if i < 0 || j < 0 then
+    invalid_arg
+      (Fmt.str "Bitrel.add: node %d outside the universe"
+         (if i < 0 then a else b));
+  let k = (i * t.stride) + (j / bpw) in
+  t.buf.(k) <- t.buf.(k) lor (1 lsl (j mod bpw))
 
 let mem t a b =
-  match (idx_of_id t a, idx_of_id t b) with
-  | Some i, Some j -> get_bit t.rows.(i) j
-  | _ -> false
+  let i = idx t t.rows a and j = idx t t.cols b in
+  i >= 0 && j >= 0 && get_bit t i j
+
+let row_iter t i f =
+  if i < 0 || i >= t.rows then invalid_arg "Bitrel.row_iter: bad row";
+  let base = i * t.stride in
+  for w = 0 to words_for t.cols - 1 do
+    let bits = ref t.buf.(base + w) in
+    while !bits <> 0 do
+      f ((w * bpw) + ntz !bits);
+      bits := !bits land (!bits - 1)
+    done
+  done
+
+let iter f t =
+  for i = 0 to t.rows - 1 do
+    let a = ext t i in
+    row_iter t i (fun j -> f a (ext t j))
+  done
 
 let cardinal t =
   let n = ref 0 in
-  Array.iter (fun row -> Array.iter (fun w -> n := !n + popcount w) row) t.rows;
+  iter (fun _ _ -> incr n) t;
   !n
 
-let is_empty t = Array.for_all (fun row -> Array.for_all (( = ) 0) row) t.rows
-
-(* Iterate the set bits of [row], ascending, as compact indices. *)
-let iter_row_bits f row =
-  Array.iteri
-    (fun w bits ->
-      let base = w * bpw in
-      let bits = ref bits in
-      while !bits <> 0 do
-        f (base + ntz !bits);
-        bits := !bits land (!bits - 1)
-      done)
-    row
-
-let iter f t =
-  Array.iteri
-    (fun i row -> iter_row_bits (fun j -> f t.ids.(i) t.ids.(j)) row)
-    t.rows
-
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun a b -> acc := f a b !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun a b acc -> (a, b) :: acc) t [])
-
-let equal t1 t2 =
-  same_universe t1 t2 && Array.for_all2 (fun r1 r2 -> Array.for_all2 ( = ) r1 r2) t1.rows t2.rows
-
-let union_into ~into t =
-  if not (same_universe into t) then
-    invalid_arg "Bitrel.union_into: different universes";
-  Array.iteri
-    (fun i row ->
-      let dst = into.rows.(i) in
-      Array.iteri (fun w bits -> dst.(w) <- dst.(w) lor bits) row)
-    t.rows
-
-(* Universe growth for the incremental monitor: appended ids sort after
-   every existing id, so existing compact indices (and therefore existing
-   bit positions) survive unchanged and rows copy with one blit each. *)
-let extend t new_ids =
-  let n_old = Array.length t.ids in
-  let n_new = Array.length new_ids in
-  if n_new = 0 then copy t
-  else begin
-    for i = 1 to n_new - 1 do
-      if new_ids.(i - 1) >= new_ids.(i) then
-        invalid_arg "Bitrel.extend: ids must be strictly increasing"
-    done;
-    if n_old > 0 && new_ids.(0) <= t.ids.(n_old - 1) then
-      invalid_arg "Bitrel.extend: ids must exceed the existing universe";
-    let ids = Array.append t.ids new_ids in
-    let n = n_old + n_new in
-    let index =
-      let span = ids.(n - 1) - ids.(0) + 1 in
-      if span <= (4 * n) + 1024 then begin
-        let map = Array.make span (-1) in
-        Array.iteri (fun i v -> map.(v - ids.(0)) <- i) ids;
-        Direct { off = ids.(0); map }
-      end
-      else begin
-        let tbl = Hashtbl.create (max 16 n) in
-        Array.iteri (fun i v -> Hashtbl.replace tbl v i) ids;
-        Table tbl
-      end
-    in
-    let words = max 1 ((n + bpw - 1) / bpw) in
-    let rows =
-      Array.init n (fun i ->
-          let row = Array.make words 0 in
-          if i < n_old then Array.blit t.rows.(i) 0 row 0 t.words;
-          row)
-    in
-    { ids; index; words; rows }
-  end
-
-let restrict ~keep t =
-  let r = create (Int_set.filter keep (universe t)) in
-  iter (fun a b -> if keep a && keep b then add r a b) t;
-  r
+let to_list t =
+  let acc = ref [] in
+  iter (fun a b -> acc := (a, b) :: !acc) t;
+  List.rev !acc
 
 (* ------------------------------------------------------------------ *)
-(* Tarjan SCC (iterative), over compact indices.                       *)
+(* SCC condensation and closure, over compact indices                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Returns [comp_of] (compact index -> component number) and the component
-   count.  Components are numbered in completion order, so every component
-   reachable from component [c] has a number strictly below [c] — i.e.
-   ascending component number is reverse topological (sinks first). *)
+let square t what =
+  if t.rows <> t.cols then
+    invalid_arg (Fmt.str "Bitrel.%s: %d x %d is not square" what t.rows t.cols);
+  t.rows
+
+(* Iterative Tarjan.  Components are numbered in completion order, so
+   every component reachable from component [c] has a number strictly
+   below [c] — i.e. ascending component number is reverse topological
+   (sinks first). *)
 let scc_condensation t =
-  let n = size t in
+  let n = square t "scc_condensation" in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
@@ -229,13 +215,13 @@ let scc_condensation t =
       cursor.(root) <- 0;
       while !dfs <> [] do
         let v = List.hd !dfs in
-        let row = t.rows.(v) in
+        let base = v * t.stride in
         (* Find the next unvisited successor at or after the cursor. *)
         let next = ref (-1) in
         let j = ref cursor.(v) in
         while !next < 0 && !j < n do
           let w = !j / bpw in
-          let bits = row.(w) lsr (!j mod bpw) in
+          let bits = t.buf.(base + w) lsr (!j mod bpw) in
           if bits = 0 then j := (w + 1) * bpw
           else begin
             let cand = !j + ntz bits in
@@ -285,70 +271,74 @@ let scc_condensation t =
   done;
   (comp_of, !ncomps)
 
-(* Purdom-style closure: condense into SCCs, accumulate reach sets as bit
-   rows in reverse topological order with word-parallel ORs, then expand
-   component reach sets back onto their member rows. *)
-let transitive_closure t =
-  let n = size t in
-  let words = t.words in
+(* Purdom-style closure, in place: condense into SCCs, then in reverse
+   topological order (ascending component number) accumulate each
+   component's members and everything it reaches by word-parallel ORs of
+   the finished components it points to, and store that set in the row of
+   the component's first member; finally copy it to the other members.  A
+   component's successor rows are all read before its row is written, and
+   only finished components' rows are ORed in, so the relation's own array
+   is both input and output: a closure allocates O(n) words of scratch,
+   not a second matrix.  An acyclic singleton drops its own bit. *)
+let close t =
+  let n = square t "close" in
+  let words = words_for n and stride = t.stride and buf = t.buf in
   let comp_of, ncomps = scc_condensation t in
-  (* Per component: member mask, cyclicity, reach set (node-bit space).
-     Masks and reach sets live in two flat backing arrays ([c * words ..])
-     rather than one small array per component — the allocator, not the
-     bit-twiddling, dominates on small universes. *)
-  let members = Array.make (ncomps * words) 0 in
-  let csize = Array.make ncomps 0 in
+  let rep = Array.make ncomps (-1) in
   let cyclic = Array.make ncomps false in
   for v = 0 to n - 1 do
     let c = comp_of.(v) in
-    let k = (c * words) + (v / bpw) in
-    members.(k) <- members.(k) lor (1 lsl (v mod bpw));
-    csize.(c) <- csize.(c) + 1;
-    if get_bit t.rows.(v) v then cyclic.(c) <- true
-  done;
-  for c = 0 to ncomps - 1 do
-    if csize.(c) > 1 then cyclic.(c) <- true
+    if rep.(c) < 0 then rep.(c) <- v else cyclic.(c) <- true;
+    if get_bit t v v then cyclic.(c) <- true
   done;
   let comp_members = Array.make ncomps [] in
   for v = n - 1 downto 0 do
     comp_members.(comp_of.(v)) <- v :: comp_members.(comp_of.(v))
   done;
-  let reach = Array.make (ncomps * words) 0 in
+  let acc = Array.make words 0 in
   (* stamp.(d) = c marks successor component d as already merged into c. *)
   let stamp = Array.make ncomps (-1) in
   (* Ascending component number is reverse topological order: successors of
      a component always carry smaller numbers and are thus already done. *)
   for c = 0 to ncomps - 1 do
-    let cb = c * words in
+    Array.fill acc 0 words 0;
     List.iter
       (fun v ->
-        iter_row_bits
-          (fun w ->
+        acc.(v / bpw) <- acc.(v / bpw) lor (1 lsl (v mod bpw));
+        row_iter t v (fun w ->
             let d = comp_of.(w) in
             if d <> c && stamp.(d) <> c then begin
               stamp.(d) <- c;
-              let db = d * words in
+              let db = rep.(d) * stride in
               for k = 0 to words - 1 do
-                reach.(cb + k) <-
-                  reach.(cb + k) lor members.(db + k) lor reach.(db + k)
+                acc.(k) <- acc.(k) lor buf.(db + k)
               done
-            end)
-          t.rows.(v))
+            end))
       comp_members.(c);
-    if cyclic.(c) then
-      for k = 0 to words - 1 do
-        reach.(cb + k) <- reach.(cb + k) lor members.(cb + k)
-      done
+    let cb = rep.(c) * stride in
+    for k = 0 to words - 1 do
+      buf.(cb + k) <- acc.(k)
+    done
   done;
-  let rows = Array.init n (fun v -> Array.sub reach (comp_of.(v) * words) words) in
-  { t with rows }
+  for v = 0 to n - 1 do
+    let c = comp_of.(v) in
+    let r = rep.(c) in
+    if v <> r then
+      for k = 0 to words - 1 do
+        buf.((v * stride) + k) <- buf.((r * stride) + k)
+      done
+    else if not cyclic.(c) then begin
+      let k = (v * stride) + (v / bpw) in
+      buf.(k) <- buf.(k) land lnot (1 lsl (v mod bpw))
+    end
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Cycle detection and topological sort                                *)
 (* ------------------------------------------------------------------ *)
 
 let find_cycle t =
-  let n = size t in
+  let n = square t "find_cycle" in
   let colour = Array.make n 0 (* 0 white, 1 grey, 2 black *) in
   let parent = Array.make n (-1) in
   let cursor = Array.make n 0 in
@@ -361,12 +351,12 @@ let find_cycle t =
       cursor.(!root) <- 0;
       while !result = None && !dfs <> [] do
         let v = List.hd !dfs in
-        let row = t.rows.(v) in
+        let base = v * t.stride in
         let next = ref (-1) in
         let j = ref cursor.(v) in
         while !result = None && !next < 0 && !j < n do
           let w = !j / bpw in
-          let bits = row.(w) lsr (!j mod bpw) in
+          let bits = t.buf.(base + w) lsr (!j mod bpw) in
           if bits = 0 then j := (w + 1) * bpw
           else begin
             let cand = !j + ntz bits in
@@ -380,7 +370,7 @@ let find_cycle t =
                 let rec walk acc u =
                   if u = cand then u :: acc else walk (u :: acc) parent.(u)
                 in
-                result := Some (List.map (fun i -> t.ids.(i)) (walk [] v))
+                result := Some (List.map (ext t) (walk [] v))
               | _ -> j := cand + 1
             end
           end
@@ -407,15 +397,18 @@ let is_acyclic t = find_cycle t = None
    extracted first, and compaction preserves identifier order, so ties
    break by ascending external identifier exactly like [Rel.topo_sort]. *)
 let topo_sort t =
-  let n = size t in
-  let words = t.words in
+  let n = square t "topo_sort" in
+  let words = words_for n in
   let indeg = Array.make n 0 in
-  Array.iter
-    (fun row -> iter_row_bits (fun j -> indeg.(j) <- indeg.(j) + 1) row)
-    t.rows;
-  let frontier = Array.make words 0 in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then set_bit frontier v
+    row_iter t v (fun j -> indeg.(j) <- indeg.(j) + 1)
+  done;
+  let frontier = Array.make words 0 in
+  let push v =
+    frontier.(v / bpw) <- frontier.(v / bpw) lor (1 lsl (v mod bpw))
+  in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then push v
   done;
   let acc = ref [] in
   let count = ref 0 in
@@ -426,31 +419,15 @@ let topo_sort t =
   in
   let rec go () =
     let v = min_bit 0 in
-    if v >= 0 && v < n then begin
+    if v >= 0 then begin
       frontier.(v / bpw) <- frontier.(v / bpw) land lnot (1 lsl (v mod bpw));
-      acc := t.ids.(v) :: !acc;
+      acc := ext t v :: !acc;
       incr count;
-      iter_row_bits
-        (fun w ->
+      row_iter t v (fun w ->
           indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then set_bit frontier w)
-        t.rows.(v);
+          if indeg.(w) = 0 then push w);
       go ()
     end
   in
   go ();
   if !count = n then Some (List.rev !acc) else None
-
-let quotient ~universe cls t =
-  let q = create universe in
-  iter
-    (fun a b ->
-      let a' = cls a and b' = cls b in
-      if a' <> b' then add q a' b')
-    t;
-  q
-
-let pp ppf t =
-  Fmt.pf ppf "{%a}"
-    Fmt.(list ~sep:(any ";@ ") (pair ~sep:(any "->") int int))
-    (to_list t)

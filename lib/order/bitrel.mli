@@ -1,90 +1,97 @@
-(** Dense bitset-backed relations over a compacted node universe.
+(** Dense bit relations: one flat array of [Sys.int_size]-bit words.
 
-    This is the performance kernel behind {!Rel}: a relation over a fixed,
-    known universe of nodes, stored as one bit row per node ([Sys.int_size]
-    adjacency bits per word).  The graph algorithms that dominate the
-    Comp-C decision path — transitive closure, cycle detection,
-    topological sorting, quotients — run word-parallel here, and the
-    observed-order fixpoint of {!Repro_core.Observed} runs entirely in this
-    representation, converting to the persistent {!Rel.t} only at the
-    boundary (see [Rel.of_bitrel] / [Rel.to_bitrel]).
+    This is the performance kernel behind {!Rel} and the observed-order
+    machinery of {!Repro_core.Observed}.  A relation is a bit matrix kept
+    in a single [int array], row [i] at word offset [i * stride]: the
+    graph algorithms that dominate the Comp-C decision path — transitive
+    closure, cycle detection, topological sorting — run word-parallel
+    over it, and a relation costs one allocation however many rows it
+    has.
 
-    Values are {e mutable} (in contrast to {!Rel.t}): [add] and
-    [union_into] update in place; [copy] takes an independent snapshot.
-    The universe of a value is fixed at creation; [add] outside it raises
-    [Invalid_argument].
+    Two kinds of value share the representation:
+    - {!create}/{!of_ids} build a fixed square relation over an arbitrary
+      set of external identifiers, compacted to dense indices in
+      ascending identifier order (so deterministic tie-breaks carry over
+      from {!Rel}) — the batch callers' form;
+    - {!make} builds a growable [rows] x [cols] matrix indexed densely,
+      whose identifiers are the indices themselves.  {!ensure}, {!reset}
+      and {!shrink} move its active window; capacity grows by half in
+      both dimensions, so appending a node costs O(1) amortized — the
+      form of the append path's mirror.
 
-    A value must not be mutated from two domains concurrently; the batch
-    drivers hand each domain its own values. *)
+    Probes, bit sets and row scans allocate nothing.  Values are
+    {e mutable} (in contrast to {!Rel.t}) and must not be mutated from two
+    domains concurrently; the batch drivers hand each domain its own
+    values. *)
 
 open Ids
 
 type t
 
 val create : Int_set.t -> t
-(** The empty relation over the given universe.  Compaction preserves
-    identifier order, so deterministic tie-breaks (ascending identifier)
-    carry over from {!Rel}. *)
+(** The empty relation over the given universe. *)
 
 val of_ids : id array -> t
 (** {!create} from a strictly increasing identifier array (raises
     [Invalid_argument] otherwise) — the allocation-free-universe path for
     hot callers that already hold the sorted node array. *)
 
-val copy : t -> t
+val make : rows:int -> cols:int -> t
+(** Zeroed dense matrix with the given active window.  Raises
+    [Invalid_argument] on negative dimensions. *)
 
-val size : t -> int
-(** Number of universe nodes. *)
+val ensure : t -> rows:int -> cols:int -> unit
+(** Grow the active window of a {!make} relation (never shrinks it).
+    Existing bits keep their coordinates; fresh space is zero. *)
 
-val universe : t -> Int_set.t
+val reset : t -> rows:int -> cols:int -> unit
+(** Zero everything and set the active window, reusing the backing array
+    when capacity allows — the cheap-rebuild path of incremental
+    mirrors. *)
 
-val id_of_idx : t -> int -> id
-(** External identifier of a compact index (0-based, ascending). *)
+val shrink : t -> rows:int -> cols:int -> unit
+(** Like {!reset}, but reallocates the backing array when it holds more
+    than 4x the words the new window needs — the truncation path, where a
+    mirror rebases from a long prefix onto a small window and must
+    release, not just zero, the dense bits. *)
 
-val idx_of_id : t -> id -> int option
+val resident_words : t -> int
+(** Words of backing array currently allocated — the memory-accounting
+    probe. *)
 
 val add : t -> id -> id -> unit
 (** In-place.  Raises [Invalid_argument] if either node is outside the
-    universe. *)
+    universe (for {!make} relations: outside the active window). *)
 
 val mem : t -> id -> id -> bool
 (** [false] (rather than an error) when either node is outside the
     universe, matching [Rel.mem] on unknown nodes. *)
 
-val cardinal : t -> int
-(** Number of pairs (population count over all rows). *)
-
-val is_empty : t -> bool
+val row_iter : t -> int -> (int -> unit) -> unit
+(** [row_iter t i f] calls [f] on the set columns of row [i], ascending,
+    as compact indices — the identifiers themselves for a {!make}
+    relation.  Raises [Invalid_argument] on a row outside the window. *)
 
 val iter : (id -> id -> unit) -> t -> unit
 (** Ascending lexicographic order of external identifiers. *)
 
-val fold : (id -> id -> 'a -> 'a) -> t -> 'a -> 'a
+val cardinal : t -> int
+(** Number of pairs (population count over all rows). *)
 
 val to_list : t -> (id * id) list
 
-val equal : t -> t -> bool
-(** Same universe and same pairs. *)
+(** {1 Graph algorithms}
 
-val union_into : into:t -> t -> unit
-(** Word-parallel in-place union.  Raises [Invalid_argument] when the
-    universes differ. *)
+    Over the relation read as an adjacency matrix; a {!make} relation
+    must be square (raises [Invalid_argument] otherwise). *)
 
-val restrict : keep:(id -> bool) -> t -> t
-(** Sub-relation (and sub-universe) induced by the nodes satisfying
-    [keep]. *)
+val scc_condensation : t -> int array * int
+(** Tarjan: [comp_of] (compact index -> component) and the component
+    count.  Components are numbered in completion order, so ascending
+    component number is reverse topological (sinks first). *)
 
-val extend : t -> id array -> t
-(** [extend t ids] is a fresh relation over [universe t] enlarged with
-    [ids] (strictly increasing, every one greater than the largest node of
-    [t] — raises [Invalid_argument] otherwise), holding the same pairs.
-    Because appended identifiers are larger than every existing one,
-    compact indices of existing nodes are preserved and rows are copied
-    word-wise; [t] itself is untouched, so a monitor can keep the previous
-    value for rollback.  Cost: O(size · words). *)
-
-val transitive_closure : t -> t
-(** Smallest transitive super-relation, over the same universe: SCC
+val close : t -> unit
+(** Replace the relation, in place, by its transitive closure: SCC
     condensation (Purdom), then word-parallel row-OR accumulation of reach
     sets in reverse topological order.  Self-pairs appear exactly for nodes
     on cycles, matching {!Rel.transitive_closure}. *)
@@ -97,12 +104,5 @@ val is_acyclic : t -> bool
 val topo_sort : t -> id list option
 (** A linear extension over the {e whole} universe (isolated nodes
     included), or [None] on a cycle.  Ties break by ascending external
-    identifier, so the output equals [Rel.topo_sort ~nodes:(universe t)]
-    on the same pairs. *)
-
-val quotient : universe:Int_set.t -> (id -> id) -> t -> t
-(** Contract by a clustering function into a fresh relation over the given
-    cluster universe; intra-cluster pairs are dropped.  Raises
-    [Invalid_argument] if the function maps a pair outside [universe]. *)
-
-val pp : Format.formatter -> t -> unit
+    identifier, so the output equals [Rel.topo_sort ~nodes:universe] on
+    the same pairs. *)

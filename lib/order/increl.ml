@@ -386,18 +386,18 @@ let find_cycle t =
     end
   end
 
-(* Canonical Kahn sort over the node graph, identical tie-breaks to
-   [Bitrel.topo_sort] over the dense universe; test-path only (the hot
-   path reads the maintained [pos] keys instead). *)
+(* Canonical Kahn sort over the node graph, by the batch kernel over a
+   dense copy of the edges; test-path only (the hot path reads the
+   maintained [pos] keys instead). *)
 let topo_sort t =
   if t.n_cyclic > 0 then None
   else if t.n = 0 then Some []
   else begin
-    let a = Arena.make ~rows:t.n ~cols:t.n in
+    let a = Bitrel.make ~rows:t.n ~cols:t.n in
     for v = 0 to t.n - 1 do
       for k = 0 to t.out_n.(v) - 1 do
-        Arena.set a v t.out_e.(v).(k)
+        Bitrel.add a v t.out_e.(v).(k)
       done
     done;
-    Arena.topo_sort a
+    Bitrel.topo_sort a
   end

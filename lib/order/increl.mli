@@ -71,6 +71,6 @@ val find_cycle : t -> int list option
 
 val topo_sort : t -> int list option
 (** Canonical Kahn sort of the whole node universe with ascending-index
-    tie-breaks — equal to [Bitrel.topo_sort] over the same dense universe
-    and pairs, [None] on a cycle.  O(n²/8) scratch; test and
-    witness-canonicalization path, not the append path. *)
+    tie-breaks — [Bitrel.topo_sort] of the inserted edges over a dense
+    [n] x [n] relation, [None] on a cycle.  O(n²/63) words of scratch;
+    a test path, not the append path. *)

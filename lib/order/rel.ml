@@ -122,11 +122,6 @@ let reachable r start =
 
 (* --- dense-representation boundary ---------------------------------- *)
 
-let to_bitrel ?(universe = Int_set.empty) r =
-  let b = Bitrel.create (Int_set.union universe (nodes r)) in
-  iter (fun x y -> Bitrel.add b x y) r;
-  b
-
 let of_bitrel b =
   (* [Bitrel.iter] visits pairs in ascending lexicographic order, so the
      successor set of each node arrives as one sorted run. *)
@@ -151,10 +146,15 @@ let of_bitrel b =
 
 let transitive_closure r =
   (* The closure itself runs in the dense kernel (SCC condensation +
-     word-parallel row-OR, see {!Bitrel.transitive_closure}); only the
-     conversion at the boundary touches the persistent representation. *)
+     word-parallel row-OR, see {!Bitrel.close}); only the conversion at
+     the boundary touches the persistent representation. *)
   if Int_map.is_empty r then r
-  else of_bitrel (Bitrel.transitive_closure (to_bitrel r))
+  else begin
+    let b = Bitrel.create (nodes r) in
+    iter (fun x y -> Bitrel.add b x y) r;
+    Bitrel.close b;
+    of_bitrel b
+  end
 
 let is_transitive r =
   try

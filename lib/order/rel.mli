@@ -81,14 +81,10 @@ val reachable : t -> id -> Int_set.t
 (** Nodes reachable from a node by a non-empty path. *)
 
 val transitive_closure : t -> t
-(** Smallest transitive relation containing the argument.  Runs in the dense
-    kernel ({!Bitrel.transitive_closure}: SCC condensation, then word-parallel
-    row-OR merges in reverse topological order) and converts back at the
-    boundary. *)
-
-val to_bitrel : ?universe:Int_set.t -> t -> Bitrel.t
-(** Dense snapshot over [universe ∪ nodes r].  Mutations of the result do not
-    affect the source. *)
+(** Smallest transitive relation containing the argument.  Copies the pairs
+    into one dense {!Bitrel.t} over [nodes r], closes it there in place
+    ({!Bitrel.close}: SCC condensation, then word-parallel row-OR merges in
+    reverse topological order) and converts back at the boundary. *)
 
 val of_bitrel : Bitrel.t -> t
 (** Persistent copy of a dense relation; universe nodes without pairs vanish

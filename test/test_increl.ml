@@ -1,7 +1,6 @@
 (* The incremental order kernel against the batch oracles: Increl's
    maintained topological order and component structure against
-   Bitrel's Kahn sort and Tarjan condensation, and the Bigarray arena's
-   byte-granular algorithm ports against the word-parallel originals. *)
+   Bitrel's Kahn sort and Tarjan condensation. *)
 open Repro_order
 open Ids
 
@@ -39,15 +38,11 @@ let bitrel_of n edges =
   List.iter (fun (a, b') -> Bitrel.add b a b') edges;
   b
 
-let arena_of n edges =
-  let a = Arena.make ~rows:n ~cols:n in
-  List.iter (fun (x, y) -> Arena.set a x y) edges;
-  a
-
 (* Components from the batch side: a ~ b iff mutually reachable in the
    closure (or equal) — Tarjan's partition without exposing Tarjan. *)
 let batch_partition n edges =
-  let c = Bitrel.transitive_closure (bitrel_of n edges) in
+  let c = bitrel_of n edges in
+  Bitrel.close c;
   let repr = Array.init n Fun.id in
   for a = 0 to n - 1 do
     for b = 0 to a - 1 do
@@ -140,88 +135,6 @@ let prop_pos_extension =
       List.iteri (fun i v -> rank.(v) <- i) sorted;
       List.for_all (fun (a, b) -> a = b || rank.(a) < rank.(b)) edges)
 
-(* ------------------------------------------------------------------ *)
-(* Arena = Bitrel properties (byte rows vs word rows)                  *)
-(* ------------------------------------------------------------------ *)
-
-let arena_pairs a = Arena.to_list a
-
-let prop_arena_closure =
-  QCheck.Test.make ~name:"arena: transitive_closure = Bitrel" ~count:600
-    arb_edges (fun (n, edges) ->
-      let a = Arena.transitive_closure (arena_of n edges) in
-      let b = Bitrel.transitive_closure (bitrel_of n edges) in
-      arena_pairs a = Bitrel.to_list b)
-
-let prop_arena_cycle =
-  QCheck.Test.make ~name:"arena: find_cycle = Bitrel (same witness)"
-    ~count:600 arb_edges (fun (n, edges) ->
-      Arena.find_cycle (arena_of n edges)
-      = Bitrel.find_cycle (bitrel_of n edges))
-
-let prop_arena_topo =
-  QCheck.Test.make ~name:"arena: topo_sort = Bitrel (same tie-breaks)"
-    ~count:600 arb_edges (fun (n, edges) ->
-      Arena.topo_sort (arena_of n edges) = Bitrel.topo_sort (bitrel_of n edges))
-
-let prop_arena_quotient =
-  QCheck.Test.make ~name:"arena: quotient = Bitrel.quotient" ~count:600
-    arb_edges (fun (n, edges) ->
-      (* Cluster by halving: a deterministic non-trivial contraction. *)
-      let cls v = v / 2 in
-      let qn = ((n - 1) / 2) + 1 in
-      let a = Arena.quotient ~n:qn cls (arena_of n edges) in
-      let b =
-        Bitrel.quotient
-          ~universe:(Int_set.of_list (List.init qn Fun.id))
-          cls (bitrel_of n edges)
-      in
-      arena_pairs a = Bitrel.to_list b)
-
-let prop_arena_scc =
-  QCheck.Test.make ~name:"arena: scc numbering is reverse topological"
-    ~count:600 arb_edges (fun (n, edges) ->
-      let a = arena_of n edges in
-      let comp_of, ncomps = Arena.scc_condensation a in
-      List.for_all
-        (fun (x, y) -> comp_of.(x) >= comp_of.(y))
-        edges
-      && Array.for_all (fun c -> c >= 0 && c < ncomps) comp_of)
-
-(* ------------------------------------------------------------------ *)
-(* Arena unit tests: growth, windows, cursors                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_arena_growth () =
-  let a = Arena.make ~rows:2 ~cols:10 in
-  Arena.set a 0 3;
-  Arena.set a 1 9;
-  Arena.ensure a ~rows:100 ~cols:500;
-  Alcotest.(check bool) "bit (0,3) survives growth" true (Arena.get a 0 3);
-  Alcotest.(check bool) "bit (1,9) survives growth" true (Arena.get a 1 9);
-  Alcotest.(check bool) "fresh space is zero" false (Arena.get a 50 400);
-  Arena.set a 99 499;
-  Alcotest.(check bool) "far corner settable" true (Arena.get a 99 499);
-  Alcotest.(check int) "cardinal" 3 (Arena.cardinal a);
-  Arena.reset a ~rows:4 ~cols:4;
-  Alcotest.(check int) "reset clears" 0 (Arena.cardinal a);
-  Alcotest.(check int) "reset resizes rows" 4 (Arena.rows a)
-
-let test_arena_cursor () =
-  let a = Arena.make ~rows:1 ~cols:40 in
-  List.iter (Arena.set a 0) [ 0; 7; 8; 31; 39 ];
-  let collected = ref [] in
-  Arena.row_iter a 0 (fun j -> collected := j :: !collected);
-  Alcotest.(check (list int)) "row_iter ascending" [ 0; 7; 8; 31; 39 ]
-    (List.rev !collected);
-  Alcotest.(check int) "next_in_row from 0" 0 (Arena.next_in_row a 0 0);
-  Alcotest.(check int) "next_in_row from 1" 7 (Arena.next_in_row a 0 1);
-  Alcotest.(check int) "next_in_row from 9" 31 (Arena.next_in_row a 0 9);
-  Alcotest.(check int) "next_in_row past last" (-1) (Arena.next_in_row a 0 40);
-  Arena.unset a 0 0;
-  Alcotest.(check int) "unset moves cursor" 7 (Arena.next_in_row a 0 0);
-  Alcotest.(check bool) "mem out of window" false (Arena.mem a 5 5)
-
 let test_increl_basics () =
   let t = Increl.create () in
   Increl.ensure_nodes t 4;
@@ -264,15 +177,5 @@ let suite =
         QCheck_alcotest.to_alcotest prop_acyclic_flag;
         QCheck_alcotest.to_alcotest prop_find_cycle;
         QCheck_alcotest.to_alcotest prop_pos_extension;
-      ] );
-    ( "arena",
-      [
-        Alcotest.test_case "growth" `Quick test_arena_growth;
-        Alcotest.test_case "cursors" `Quick test_arena_cursor;
-        QCheck_alcotest.to_alcotest prop_arena_closure;
-        QCheck_alcotest.to_alcotest prop_arena_cycle;
-        QCheck_alcotest.to_alcotest prop_arena_topo;
-        QCheck_alcotest.to_alcotest prop_arena_quotient;
-        QCheck_alcotest.to_alcotest prop_arena_scc;
       ] );
   ]

@@ -1,6 +1,7 @@
 (* Equivalence tests for the dense performance kernel: Bitrel against the
-   persistent Rel oracles, the memoized conflict cache against the direct
-   evaluation path, the domain pool against List.map, and metrics merging. *)
+   persistent Rel oracles, its growable window against a boolean matrix,
+   the memoized conflict cache against the direct evaluation path, the
+   domain pool against List.map, and metrics merging. *)
 open Repro_order
 open Repro_model
 open Ids
@@ -53,7 +54,8 @@ let prop_mem =
 let prop_closure_reachability =
   QCheck.Test.make ~name:"bitrel: closure = reachability" ~count:500 arb_rel
     (fun r ->
-      let c = Bitrel.transitive_closure (bitrel_of r) in
+      let c = bitrel_of r in
+      Bitrel.close c;
       let succs_of a =
         let acc = ref Int_set.empty in
         Bitrel.iter (fun x y -> if x = a then acc := Int_set.add y !acc) c;
@@ -85,35 +87,6 @@ let prop_topo_exact =
     (fun r ->
       Bitrel.topo_sort (bitrel_of r) = Rel.topo_sort ~nodes:(Rel.nodes r) r)
 
-let prop_restrict =
-  QCheck.Test.make ~name:"bitrel: restrict agrees" ~count:500 arb_rel (fun r ->
-      let keep n = n mod 2 = 0 in
-      Bitrel.to_list (Bitrel.restrict ~keep (bitrel_of r))
-      = pairs_of_rel (Rel.restrict ~keep r))
-
-let prop_quotient =
-  QCheck.Test.make ~name:"bitrel: quotient agrees" ~count:500 arb_rel (fun r ->
-      let cls n = n mod 7 in
-      let universe =
-        Int_set.of_list (List.map cls (Int_set.elements (Rel.nodes r)))
-      in
-      Bitrel.to_list (Bitrel.quotient ~universe cls (bitrel_of r))
-      = pairs_of_rel (Rel.quotient cls r))
-
-let prop_union_into =
-  QCheck.Test.make ~name:"bitrel: union_into agrees with Rel.union" ~count:500
-    (QCheck.pair arb_rel arb_rel) (fun (r1, r2) ->
-      (* Same universe for both sides: embed into the joint node set. *)
-      let us = Int_set.union (Rel.nodes r1) (Rel.nodes r2) in
-      let embed r =
-        let b = Bitrel.create us in
-        Rel.iter (fun a b' -> Bitrel.add b a b') r;
-        b
-      in
-      let b1 = embed r1 in
-      Bitrel.union_into ~into:b1 (embed r2);
-      Bitrel.to_list b1 = pairs_of_rel (Rel.union r1 r2))
-
 let prop_inverse =
   QCheck.Test.make ~name:"rel: inverse flips pairs and preds" ~count:500 arb_rel
     (fun r ->
@@ -136,8 +109,8 @@ let test_of_ids () =
       Bitrel.add b 4 7);
   let empty = Bitrel.create Int_set.empty in
   Alcotest.(check bool) "empty topo" true (Bitrel.topo_sort empty = Some []);
-  Alcotest.(check bool) "empty closure" true
-    (Bitrel.is_empty (Bitrel.transitive_closure empty))
+  Bitrel.close empty;
+  Alcotest.(check int) "empty closure" 0 (Bitrel.cardinal empty)
 
 let test_sparse_universe () =
   (* Ids far apart fall back to the hashtable index; semantics unchanged. *)
@@ -147,6 +120,147 @@ let test_sparse_universe () =
   Alcotest.(check int) "cardinal" 1 (Bitrel.cardinal b);
   Alcotest.(check bool) "topo" true
     (Bitrel.topo_sort b = Some [ 0; 5_000_000 ])
+
+(* ------------------------------------------------------------------ *)
+(* The growable window of [make] relations                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_growth () =
+  let a = Bitrel.make ~rows:2 ~cols:10 in
+  Bitrel.add a 0 3;
+  Bitrel.add a 1 9;
+  Bitrel.ensure a ~rows:100 ~cols:500;
+  Alcotest.(check bool) "bit (0,3) survives growth" true (Bitrel.mem a 0 3);
+  Alcotest.(check bool) "bit (1,9) survives growth" true (Bitrel.mem a 1 9);
+  Alcotest.(check bool) "fresh space is zero" false (Bitrel.mem a 50 400);
+  Bitrel.add a 99 499;
+  Alcotest.(check bool) "far corner settable" true (Bitrel.mem a 99 499);
+  Alcotest.(check int) "cardinal" 3 (Bitrel.cardinal a);
+  Bitrel.reset a ~rows:4 ~cols:4;
+  Alcotest.(check int) "reset clears" 0 (Bitrel.cardinal a);
+  Bitrel.add a 3 3;
+  Alcotest.check_raises "reset resizes rows"
+    (Invalid_argument "Bitrel.add: node 4 outside the universe") (fun () ->
+      Bitrel.add a 4 0)
+
+let test_row_iter () =
+  let w = Sys.int_size in
+  let cols = [ 0; 7; w - 1; w; (2 * w) - 1; 2 * w; (3 * w) - 1 ] in
+  let a = Bitrel.make ~rows:1 ~cols:(3 * w) in
+  List.iter (Bitrel.add a 0) cols;
+  let collected = ref [] in
+  Bitrel.row_iter a 0 (fun j -> collected := j :: !collected);
+  Alcotest.(check (list int)) "row_iter ascending across words" cols
+    (List.rev !collected);
+  Alcotest.(check bool) "mem out of window" false (Bitrel.mem a 5 5)
+
+let prop_scc_order =
+  QCheck.Test.make ~name:"bitrel: scc numbering is reverse topological"
+    ~count:600 arb_rel (fun r ->
+      let n = Rel.fold (fun a b m -> max m (max a b + 1)) r 0 in
+      let d = Bitrel.make ~rows:n ~cols:n in
+      Rel.iter (Bitrel.add d) r;
+      let comp_of, ncomps = Bitrel.scc_condensation d in
+      Rel.fold (fun x y ok -> ok && comp_of.(x) >= comp_of.(y)) r true
+      && Array.for_all (fun c -> c >= 0 && c < ncomps) comp_of)
+
+(* Random window operations with column counts on either side of word
+   boundaries, replayed on a boolean matrix: every bit, row scan and pair
+   scan must agree after each step, and [shrink] must leave at most 4x
+   the words its window needs. *)
+type window_op =
+  | Set of int * int (* coordinates taken modulo the window *)
+  | Ensure of int * int
+  | Reset of int * int
+  | Shrink of int * int
+
+let arb_window_ops =
+  let open QCheck.Gen in
+  let w = Sys.int_size in
+  let dims =
+    pair (int_bound 9)
+      (oneofl [ 0; 1; 5; w - 1; w; w + 1; (2 * w) - 1; 2 * w; (2 * w) + 1 ])
+  in
+  let op =
+    frequency
+      [
+        (6, map2 (fun i j -> Set (i, j)) nat nat);
+        (2, map (fun (r, c) -> Ensure (r, c)) dims);
+        (1, map (fun (r, c) -> Reset (r, c)) dims);
+        (1, map (fun (r, c) -> Shrink (r, c)) dims);
+      ]
+  in
+  let pp ppf = function
+    | Set (i, j) -> Fmt.pf ppf "set %d %d" i j
+    | Ensure (r, c) -> Fmt.pf ppf "ensure %dx%d" r c
+    | Reset (r, c) -> Fmt.pf ppf "reset %dx%d" r c
+    | Shrink (r, c) -> Fmt.pf ppf "shrink %dx%d" r c
+  in
+  QCheck.make
+    ~print:(Fmt.str "[%a]" Fmt.(list ~sep:(any "; ") pp))
+    (list_size (int_range 1 40) op)
+
+let prop_window_ops =
+  QCheck.Test.make ~name:"bitrel: window ops = bool matrix" ~count:500
+    arb_window_ops (fun ops ->
+      let t = Bitrel.make ~rows:0 ~cols:0 in
+      let rows = ref 0 and cols = ref 0 and model = ref [||] in
+      let resize r c ~keep =
+        let old = !model and oc = !cols in
+        model :=
+          Array.init r (fun i ->
+              Array.init c (fun j ->
+                  keep && i < Array.length old && j < oc && old.(i).(j)));
+        rows := r;
+        cols := c
+      in
+      let agrees () =
+        let pairs = ref [] and ok = ref true in
+        for i = 0 to !rows do
+          for j = 0 to !cols do
+            let want = i < !rows && j < !cols && !model.(i).(j) in
+            if want then pairs := (i, j) :: !pairs;
+            if Bitrel.mem t i j <> want then ok := false
+          done
+        done;
+        let pairs = List.rev !pairs in
+        for i = 0 to !rows - 1 do
+          let seen = ref [] in
+          Bitrel.row_iter t i (fun j -> seen := (i, j) :: !seen);
+          if List.rev !seen <> List.filter (fun (a, _) -> a = i) pairs then
+            ok := false
+        done;
+        let seen = ref [] in
+        Bitrel.iter (fun a b -> seen := (a, b) :: !seen) t;
+        !ok && List.rev !seen = pairs
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Set (i, j) ->
+            if !rows > 0 && !cols > 0 then begin
+              let i = i mod !rows and j = j mod !cols in
+              Bitrel.add t i j;
+              !model.(i).(j) <- true
+            end
+          | Ensure (r, c) ->
+            Bitrel.ensure t ~rows:r ~cols:c;
+            resize (max r !rows) (max c !cols) ~keep:true
+          | Reset (r, c) ->
+            Bitrel.reset t ~rows:r ~cols:c;
+            resize r c ~keep:false
+          | Shrink (r, c) ->
+            Bitrel.shrink t ~rows:r ~cols:c;
+            resize r c ~keep:false);
+          let released =
+            match op with
+            | Shrink (r, c) ->
+              let words = (c + Sys.int_size - 1) / Sys.int_size in
+              Bitrel.resident_words t <= 4 * max 1 words * max 1 r
+            | Set _ | Ensure _ | Reset _ -> true
+          in
+          released && agrees ())
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Memoized conflicts = uncached conflicts                             *)
@@ -220,15 +334,17 @@ let test_parmap_with_metrics () =
   in
   let sequential = run 1 in
   Alcotest.(check string) "metrics identical at jobs=4" sequential (run 4);
-  (* Disabled registry: workers get the null registry, nothing recorded. *)
+  (* Disabled registry: workers get the null registry, nothing recorded.
+     The workers only report what they saw; checking happens after the
+     join, because Alcotest's formatter is not domain-safe. *)
   let r =
     Pool.parmap_with ~jobs:2 ~metrics:Metrics.null
-      (fun ~metrics x ->
-        Alcotest.(check bool) "null passed" false (Metrics.enabled metrics);
-        x)
+      (fun ~metrics x -> (x, Metrics.enabled metrics))
       [ 1; 2; 3 ]
   in
-  Alcotest.(check (list int)) "null results" [ 1; 2; 3 ] r
+  Alcotest.(check (list int)) "null results" [ 1; 2; 3 ] (List.map fst r);
+  Alcotest.(check (list bool)) "null passed" [ false; false; false ]
+    (List.map snd r)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics.merge                                                       *)
@@ -276,6 +392,8 @@ let suite =
       [
         Alcotest.test_case "bitrel of_ids and bounds" `Quick test_of_ids;
         Alcotest.test_case "bitrel sparse universe" `Quick test_sparse_universe;
+        Alcotest.test_case "bitrel growth" `Quick test_growth;
+        Alcotest.test_case "bitrel row_iter across words" `Quick test_row_iter;
         Alcotest.test_case "pool parmap order" `Quick test_parmap_order;
         Alcotest.test_case "pool exception" `Quick test_parmap_exception;
         Alcotest.test_case "pool metrics merge determinism" `Quick
@@ -289,9 +407,8 @@ let suite =
         prop_closure_reachability;
         prop_cycle_agreement;
         prop_topo_exact;
-        prop_restrict;
-        prop_quotient;
-        prop_union_into;
+        prop_scc_order;
+        prop_window_ops;
         prop_inverse;
         prop_conflict_cache;
       ];
