@@ -2095,6 +2095,181 @@ let e20 () =
        ])
 
 (* ------------------------------------------------------------------ *)
+(* E21: stream ingestion, gated on counts                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The O(delta) ingestion claim: a [compserve] append parses its chunk
+   alone and seals only its delta ([Syntax.Session] over
+   [History.extend]), where the server used to re-parse and re-seal the
+   stream's whole text.  Wall time on a shared host is too noisy to gate a
+   slope, so the gate is on minor words per append, which are
+   deterministic: the session's words at the deepest row may be at most a
+   fixed multiple of its words at the shallowest (bench/baselines/
+   e21_ci.json).  The stream has the serve-long shape: a two-level stack
+   whose roots run 2 operations on items of a 64-item pool, each with an
+   order line to the item's previous operation; every 7th append adds an
+   operation to one of the 12 newest roots instead of a root.  The closed
+   orders grow with the item chains, so the session's words still rise
+   with depth: with the closed-order pairs each append adds, not with the
+   text of the stream. *)
+
+let e21_chunks ~roots =
+  let rng = Prng.create ~seed:21 in
+  let next = ref 0 and root_ids = ref [||] and chunks = ref [] in
+  let tail = Hashtbl.create 64 in
+  let fresh () =
+    let n = !next in
+    incr next;
+    n
+  in
+  let op b r item =
+    let a = fresh () and get = Prng.chance rng 0.3 in
+    Printf.bprintf b "tx n%d @ SA parent n%d %s(x%d)\n" a r (if get then "get" else "add") item;
+    Printf.bprintf b "leaf n%d parent n%d r(x%d)\n" (fresh ()) a item;
+    if not get then Printf.bprintf b "leaf n%d parent n%d w(x%d)\n" (fresh ()) a item;
+    Option.iter (fun p -> Printf.bprintf b "order SP : n%d < n%d\n" p a) (Hashtbl.find_opt tail item);
+    Hashtbl.replace tail item a
+  in
+  while Array.length !root_ids < roots do
+    let b = Buffer.create 256 in
+    let k = List.length !chunks and n_roots = Array.length !root_ids in
+    if k = 0 then Buffer.add_string b "schedule SP conflict same-item\nschedule SA conflict rw\n";
+    if k mod 7 = 6 && n_roots > 1 then
+      op b !root_ids.(n_roots - 1 - Prng.int rng (min 12 n_roots)) (Prng.int rng 64)
+    else begin
+      let r = fresh () in
+      Printf.bprintf b "root n%d @ SP T%d\n" r n_roots;
+      root_ids := Array.append !root_ids [| r |];
+      let items = Array.init 64 Fun.id in
+      Prng.shuffle rng items;
+      op b r items.(0);
+      op b r items.(1)
+    end;
+    chunks := Buffer.contents b :: !chunks
+  done;
+  Array.of_list (List.rev !chunks)
+
+let e21_median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  if a = [||] then nan else a.(Array.length a / 2)
+
+let e21 () =
+  section "e21" "O(delta) stream ingestion: chunk session vs whole-text re-parse";
+  Fmt.pr
+    "  Minor words and wall time per append over the deepest tenth of a@.\
+    \  serve-long-shaped stream (medians).  CI gates the session's words@.\
+    \  at 1024 roots against its words at 64 (bench/baselines/e21_ci.json).@.\
+    \  The re-parse column is the server's former ingestion, sampled at@.\
+    \  up to 11 appends.  Pairs counts the closed-order pairs an append@.\
+    \  adds; they grow with the item chains (ROADMAP item 4), and the@.\
+    \  session's words grow with them.@.";
+  Fmt.pr "  %-6s %8s %9s %14s %11s %7s %14s %11s@." "roots" "appends" "text-KB"
+    "session-words" "session-us" "pairs" "reparse-words" "reparse-us";
+  let measure f =
+    let w0 = Gc.minor_words () in
+    let t0 = now_wall () in
+    let r = f () in
+    let t = now_wall () -. t0 in
+    (r, Gc.minor_words () -. w0, t *. 1e6)
+  in
+  let rows =
+    List.map
+      (fun roots ->
+        let chunks = e21_chunks ~roots in
+        let n = Array.length chunks in
+        let deep i = 10 * (i + 1) >= 9 * n in
+        let session = ref (Repro_histlang.Syntax.Session.empty ()) in
+        let sw = ref [] and st = ref [] and sp = ref [] in
+        let pairs h =
+          List.fold_left
+            (fun acc (s : History.schedule) ->
+              acc
+              + List.fold_left
+                  (fun acc r -> acc + Repro_order.Rel.cardinal r)
+                  0
+                  History.[ s.weak_in; s.strong_in; s.weak_out; s.strong_out ])
+            0 (History.schedules h)
+        in
+        Array.iteri
+          (fun i chunk ->
+            let before = Repro_histlang.Syntax.Session.history !session in
+            let s, w, t =
+              measure (fun () -> Repro_histlang.Syntax.Session.feed !session chunk)
+            in
+            session := s;
+            if deep i then begin
+              sw := w :: !sw;
+              st := t :: !st;
+              sp :=
+                float_of_int
+                  (pairs (Repro_histlang.Syntax.Session.history s) - pairs before)
+                :: !sp
+            end)
+          chunks;
+        let first_deep = ref n in
+        Array.iteri (fun i _ -> if deep i && i < !first_deep then first_deep := i) chunks;
+        let span = n - !first_deep in
+        let samples = List.sort_uniq compare (List.init 11 (fun k -> !first_deep + (k * (span - 1) / 10))) in
+        let text = Buffer.create 4096 in
+        let rw = ref [] and rt = ref [] in
+        Array.iteri
+          (fun i chunk ->
+            Buffer.add_string text chunk;
+            if List.mem i samples then begin
+              let src = Buffer.contents text in
+              let _, w, t = measure (fun () -> Repro_histlang.Syntax.parse src) in
+              rw := w :: !rw;
+              rt := t :: !rt
+            end)
+          chunks;
+        let h = Repro_histlang.Syntax.Session.history !session in
+        if
+          not
+            (String.equal (Repro_histlang.Syntax.to_string h)
+               (Repro_histlang.Syntax.to_string
+                  (Repro_histlang.Syntax.parse (Buffer.contents text))))
+        then
+          failwith
+            (Fmt.str "e21: at %d roots the session differs from the re-parse" roots);
+        let sw = e21_median !sw and st = e21_median !st and sp = e21_median !sp in
+        let rw = e21_median !rw and rt = e21_median !rt in
+        Fmt.pr "  %-6d %8d %9.1f %14.0f %11.1f %7.0f %14.0f %11.1f@." roots n
+          (float_of_int (Buffer.length text) /. 1024.0) sw st sp rw rt;
+        ( roots,
+          ( Fmt.str "roots-%d" roots,
+            Json.Obj
+              [
+                ("roots", Json.Int roots);
+                ("appends", Json.Int n);
+                ("nodes", Json.Int (History.n_nodes h));
+                ("text_bytes", Json.Int (Buffer.length text));
+                ("session_words_per_append", Json.Float sw);
+                ("session_us_per_append", Json.Float st);
+                ("order_pairs_per_append", Json.Float sp);
+                ("reparse_words_per_append", Json.Float rw);
+                ("reparse_us_per_append", Json.Float rt);
+              ] ) ))
+      [ 64; 256; 1024 ]
+  in
+  let words key roots =
+    match List.assoc roots rows with
+    | _, Json.Obj fields -> (
+      match List.assoc key fields with Json.Float f -> f | _ -> nan)
+    | _ -> nan
+  in
+  let ratio key = words key 1024 /. words key 64 in
+  Fmt.pr "  words 1024/64 roots: session %.2fx, re-parse %.1fx@."
+    (ratio "session_words_per_append") (ratio "reparse_words_per_append");
+  record_json "e21"
+    (Json.Obj
+       [
+         ("session_words_ratio", Json.Float (ratio "session_words_per_append"));
+         ("reparse_words_ratio", Json.Float (ratio "reparse_words_per_append"));
+         ("rows", Json.Obj (List.map snd rows));
+       ])
+
+(* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (bechamel)                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -2152,7 +2327,8 @@ let all =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
-    ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("perf", perf);
+    ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
+    ("perf", perf);
     ("micro", micro);
   ]
 

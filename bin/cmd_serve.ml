@@ -553,15 +553,17 @@ let cmd =
          incrementally (Comp-C, per appended chunk) by a monitored engine \
          session pinned to a worker domain, and with $(b,--window) every \
          session runs in bounded memory however long its stream grows.  \
-         The protocol is a length-prefixed line protocol (version 2): \
-         open/append/verdict/explain/close per stream id; stats, metrics \
+         The protocol is a length-prefixed line protocol (version 3): \
+         open/append/verdict/explain/close per stream id (an accepted \
+         append answers without the serial witness, which verdict \
+         returns); stats, metrics \
          (Prometheus), health and slow for the whole server; appends may \
          carry a trace context so one request yields one connected span \
          tree across client, transport, shard queue and engine.  SIGTERM \
          drains gracefully.";
       `S Manpage.s_examples;
       `Pre
-        "  compserve --socket /tmp/comp.sock --shards 4 --window 512 \\\n\
+        "  compserve --socket /tmp/comp.sock --shards 4 --window 512 \\\\\n\
         \      --trace /tmp/serve.trace.json --slow-ms 50 &\n\
         \  compserve --connect /tmp/comp.sock histories/*.ct\n\
         \  compserve --connect /tmp/comp.sock --admin metrics\n\

@@ -309,29 +309,39 @@ let rec parse_items st acc =
     in
     parse_items st (item :: acc)
 
-let build items =
-  let b = B.create () in
-  (* Nodes are declared in order; assign their identifiers up front so that
-     explicit conflict specifications can reference later nodes. *)
+module Names = Map.Make (String)
+
+(* Declare [items] into [b].  The items' node names take identifiers from
+   [first] up, in declaration order, before anything is declared, so
+   references may point forward (explicit conflict pairs, order lines
+   before their nodes).  A name resolves against [known] — the names of
+   earlier chunks of a stream — first, then the items' own declarations;
+   schedules resolve as they are declared, starting from [scheds].
+   Returns the items' node names and the schedule table after them. *)
+let declare b ~known ~first ~scheds items =
   let node_ids = Hashtbl.create 64 in
-  let counter = ref 0 in
+  let counter = ref first in
   List.iter
     (fun item ->
       match item with
       | I_root (name, _, _, line) | I_tx (name, _, _, _, line) | I_leaf (name, _, _, line) ->
-        if Hashtbl.mem node_ids name then fail line "duplicate node %S" name;
+        if known name <> None || Hashtbl.mem node_ids name then
+          fail line "duplicate node %S" name;
         Hashtbl.replace node_ids name !counter;
         incr counter
       | I_schedule _ | I_order _ | I_intra _ | I_input _ | I_log _ -> ())
     items;
   let node line name =
-    match Hashtbl.find_opt node_ids name with
+    match known name with
     | Some id -> id
-    | None -> fail line "unknown node %S" name
+    | None -> (
+      match Hashtbl.find_opt node_ids name with
+      | Some id -> id
+      | None -> fail line "unknown node %S" name)
   in
-  let scheds = Hashtbl.create 8 in
+  let scheds = ref scheds in
   let sched line name =
-    match Hashtbl.find_opt scheds name with
+    match Names.find_opt name !scheds with
     | Some id -> id
     | None -> fail line "unknown schedule %S" name
   in
@@ -345,7 +355,7 @@ let build items =
           | Explicit_names (pairs, line) ->
             Conflict.Explicit (List.map (fun (a, b) -> (node line a, node line b)) pairs)
         in
-        Hashtbl.replace scheds name (B.schedule b ~conflict name)
+        scheds := Names.add name (B.schedule b ~conflict name) !scheds
       | I_root (name, sname, lbl, line) ->
         let id = B.root b ~sched:(sched line sname) lbl in
         assert (id = Hashtbl.find node_ids name)
@@ -367,11 +377,41 @@ let build items =
       | I_log (sname, ops, line) ->
         B.log b ~sched:(sched line sname) (List.map (node line) ops))
     items;
-  B.seal b
+  (node_ids, !scheds)
+
+let items_of src = parse_items { toks = lex src } []
 
 let parse src =
-  let st = { toks = lex src } in
-  build (parse_items st [])
+  let b = B.create () in
+  ignore (declare b ~known:(fun _ -> None) ~first:0 ~scheds:Names.empty (items_of src));
+  B.seal b
+
+module Session = struct
+  type t = {
+    history : History.t;
+    nodes : int Names.t;  (* node name -> identifier *)
+    scheds : int Names.t;  (* schedule name -> its latest declaration *)
+  }
+
+  let empty () =
+    { history = History.empty (); nodes = Names.empty; scheds = Names.empty }
+
+  let history s = s.history
+
+  let feed s chunk =
+    let items = items_of chunk in
+    let declared = ref None in
+    let history =
+      History.extend s.history (fun b ->
+          declared :=
+            Some
+              (declare b
+                 ~known:(fun name -> Names.find_opt name s.nodes)
+                 ~first:(History.n_nodes s.history) ~scheds:s.scheds items))
+    in
+    let names, scheds = Option.get !declared in
+    { history; nodes = Hashtbl.fold Names.add names s.nodes; scheds }
+end
 
 let parse_file path =
   let ic = open_in path in

@@ -72,6 +72,36 @@ val parse : string -> Repro_model.History.t
 
 val parse_file : string -> Repro_model.History.t
 
+(** A stream of chunks, ingested one chunk at a time: the text of a
+    stream is the concatenation of its chunks, and each chunk costs the
+    work of its own declarations, not of the stream so far.
+
+    A session is the stream's history plus its node and schedule name
+    tables.  It is persistent: {!feed} returns a new session, and the old
+    one stays valid, so a refused chunk leaves nothing behind. *)
+module Session : sig
+  type t
+
+  val empty : unit -> t
+  (** No schedules, no nodes. *)
+
+  val history : t -> Repro_model.History.t
+
+  val feed : t -> string -> t
+  (** [feed s chunk] lexes and parses [chunk] alone, as if it ended in a
+      newline (no token spans two chunks), and declares its items on top
+      of [s] through {!Repro_model.History.extend}.  Names resolve against
+      the session's tables first, then the chunk's own declarations, so
+      forward references inside a chunk work as in {!parse}.  The result's
+      history equals {!parse} of the chunks fed so far joined by newlines.
+
+      Raises {!Parse_error}, with line numbers relative to the chunk, on
+      syntax and name errors (including a name the session already
+      declared), and [Invalid_argument] as
+      {!Repro_model.History.extend} does — in particular on a chunk that
+      does not extend the session's history. *)
+end
+
 val spec_of_string : string -> Repro_model.Conflict.spec
 (** Parse a bare conflict specification ([spec] in the grammar), for
     command lines such as [compgen --conflict].  Rejects [explicit] — its

@@ -16,7 +16,8 @@
       {e output} orders over its operations (Def. 3), and optionally the
       total execution log it produced.
 
-    Histories are immutable; construct them with {!Builder}.  Construction
+    Histories are immutable; construct them with {!Builder}, and grow one
+    by a delta with {!extend}.  Construction
     performs the {e order completion} that Def. 3 requires of any well-formed
     schedule (output orders extend intra-transaction orders; strong input
     orders expand to strong output orders over all operation pairs; orders
@@ -56,6 +57,9 @@ type schedule = private {
 }
 
 type t
+
+val empty : unit -> t
+(** No schedules, no nodes: the start of an {!extend} chain. *)
 
 (** {1 Accessors} *)
 
@@ -317,3 +321,31 @@ module Builder : sig
       {!weak_out}, a recursive invocation graph, a log that is not a
       permutation of the schedule's operations). *)
 end
+
+val extend : t -> (Builder.t -> unit) -> t
+(** [extend h declare] is [h] grown by what [declare] declares on a builder
+    opened on [h]: new schedules, new nodes (identifiers from [n_nodes h]
+    up, children of old or new transactions), and new pairs and logs,
+    through the ordinary {!Builder} calls with old and new identifiers
+    alike.  Sealing completes only the delta, highest level first, with
+    the rules of {!Builder.seal}: each new pair is closed against the
+    stored closed order, new input pairs and old transactions that gained
+    operations expand into output pairs, new output pairs are pushed down
+    to invoked schedules, and log pairs are derived for new log entries
+    only.  The result equals {!Builder.seal} of all the declarations at
+    once.
+
+    The delta must {e extend} [h] — the contract of
+    {!Repro_core.Engine.extend}.  It raises [Invalid_argument] with a
+    message starting [not an extension:] when completion would add a pair
+    between two nodes of [h] to any order, when a log would reorder old
+    operations, or when output pairs are declared for a schedule whose
+    output order [h] derived from its log.  Old nodes keep their label,
+    parent and schedule by construction.  Any other builder error raises
+    as {!Builder.seal} does.  On any exception [h] is unchanged; on
+    success it stays valid and shares its relations with the result.
+
+    Closing a pair needs predecessors, so an extension chain keeps the
+    converse of every closed order beside it: built from [h] on its first
+    extension, then grown with the chain.  Histories from
+    {!Builder.seal} never build it. *)

@@ -155,11 +155,12 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Wire = struct
-  (* Protocol version 2: version 1 plus an optional [t=<trace>:<parent>]
-     context token on [append] frames and the admin requests
-     [metrics]/[health]/[slow].  Every version-1 frame is also a
-     version-2 frame, so old clients keep working unchanged. *)
-  let protocol_version = 2
+  (* Protocol version 3: the frames of version 2, which added an optional
+     [t=<trace>:<parent>] context token on [append] frames and the admin
+     requests [metrics]/[health]/[slow] to version 1.  Version 3 changes
+     one answer: an accepted append answers [verdict <stream> accept]
+     without the serial witness, which [verdict] still returns. *)
+  let protocol_version = 3
 
   type ctx = { trace : int; parent : int }
 
@@ -347,12 +348,13 @@ end
 (* ------------------------------------------------------------------ *)
 
 type stream = {
-  text : Buffer.t;  (* accumulated history description *)
+  mutable session : Syntax.Session.t;  (* history and names after the last good append *)
   eng : Engine.t;
   recorder : Recorder.t;  (* per-stream flight recorder *)
-  mutable nodes : int;  (* node count after the last good append *)
   mutable appends : int;
 }
+
+let nodes s = History.n_nodes (Syntax.Session.history s.session)
 
 (* A [Req] is a wire request plus its response continuation; [enq] is the
    submit timestamp, so the worker can record the shard queue wait as a
@@ -389,14 +391,17 @@ let shard_count t = Array.length t.state
 
 (* ---- stream operations (run on the owning shard's domain) ---- *)
 
-let verdict_response sid (v : Engine.verdict) =
+(* [verdict] answers with the whole serial witness; an append answers
+   only accept, so its cost does not grow with the stream. *)
+let verdict_response ~witness sid (v : Engine.verdict) =
   match v with
   | Engine.Accepted serial ->
     Wire.Verdict_r
       {
         stream = sid;
         accepted = true;
-        detail = String.concat " " (List.map string_of_int serial);
+        detail =
+          (if witness then String.concat " " (List.map string_of_int serial) else "");
       }
   | Engine.Rejected f ->
     Wire.Verdict_r
@@ -413,7 +418,7 @@ let exec_open ~window:default_window sh sid window =
         ()
     in
     Hashtbl.replace sh.streams sid
-      { text = Buffer.create 1024; eng; recorder; nodes = 0; appends = 0 };
+      { session = Syntax.Session.empty (); eng; recorder; appends = 0 };
     Metrics.incr sh.metrics ~labels:sh.labels "serve.open";
     Metrics.set sh.metrics ~labels:sh.labels "serve.streams"
       (float_of_int (Hashtbl.length sh.streams));
@@ -425,35 +430,30 @@ let exec_append sh sid body =
   | None -> Wire.Err (Fmt.str "no such stream %s" sid)
   | Some s -> (
     let t0 = Clock.now_wall () in
-    let rollback = Buffer.length s.text in
-    Buffer.add_string s.text body;
-    (* The protocol streams text, so the extension contract is enforced
-       structurally: re-parse the accumulated description (identifiers
-       are assigned by declaration order, so shared nodes keep theirs)
-       and hand the engine the grown history.  On any failure the
-       appended bytes are rolled back — a bad chunk must not wedge the
-       stream. *)
-    match Syntax.parse (Buffer.contents s.text) with
+    (* The session parses the chunk alone and seals only its delta;
+       [History.extend] refuses a chunk that would change a relation
+       among the stream's nodes, which is the contract [Engine.extend]
+       relies on.  The grown session is kept only once the engine has
+       taken the history: a refused chunk leaves nothing behind. *)
+    match Syntax.Session.feed s.session body with
     | exception Syntax.Parse_error e ->
-      Buffer.truncate s.text rollback;
       Wire.Err (Fmt.str "parse error: %a" Syntax.pp_error e)
     | exception Invalid_argument msg ->
-      Buffer.truncate s.text rollback;
-      Wire.Err (Fmt.str "invalid history: %s" msg)
-    | h -> (
-      if History.n_nodes h <= s.nodes then begin
-        Buffer.truncate s.text rollback;
+      Wire.Err
+        (if String.starts_with ~prefix:"not an extension" msg then msg
+         else "invalid history: " ^ msg)
+    | next -> (
+      let h = Syntax.Session.history next in
+      if History.n_nodes h <= nodes s then
         Wire.Err
           (Fmt.str "append adds no nodes (%d before, %d after): not an extension"
-             s.nodes (History.n_nodes h))
-      end
+             (nodes s) (History.n_nodes h))
       else
         match Engine.extend s.eng h with
         | exception Invalid_argument msg ->
-          Buffer.truncate s.text rollback;
           Wire.Err (Fmt.str "not an extension: %s" msg)
         | v ->
-          s.nodes <- History.n_nodes h;
+          s.session <- next;
           s.appends <- s.appends + 1;
           let wall = Clock.now_wall () -. t0 in
           Metrics.incr sh.metrics ~labels:sh.labels "serve.append";
@@ -467,11 +467,11 @@ let exec_append sh sid body =
                      ("stream", sid);
                      ("shard", string_of_int sh.index);
                      ("append", string_of_int s.appends);
-                     ("nodes", string_of_int s.nodes);
+                     ("nodes", string_of_int (nodes s));
                      ("wall_us", Printf.sprintf "%.1f" (wall *. 1e6));
                    ])
               "slow_append";
-          verdict_response sid v))
+          verdict_response ~witness:false sid v))
 
 let exec_verdict sh sid =
   match Hashtbl.find_opt sh.streams sid with
@@ -479,7 +479,7 @@ let exec_verdict sh sid =
   | Some s -> (
     match Engine.verdict s.eng with
     | None -> Wire.Verdict_r { stream = sid; accepted = true; detail = "empty" }
-    | Some v -> verdict_response sid v)
+    | Some v -> verdict_response ~witness:true sid v)
 
 let exec_explain sh sid =
   match Hashtbl.find_opt sh.streams sid with
@@ -491,7 +491,7 @@ let exec_explain sh sid =
            ("schema", Json.String "compserve-explain/1");
            ("stream", Json.String sid);
            ("appends", Json.Int s.appends);
-           ("nodes", Json.Int s.nodes);
+           ("nodes", Json.Int (nodes s));
            ("engine", Engine.introspect ~deep:false s.eng);
            ("flight_recorder", Recorder.to_json s.recorder);
          ])

@@ -4,7 +4,11 @@
     A server multiplexes many monitored certification streams across a
     fixed pool of worker domains.  Each stream is an incremental
     {!Repro_core.Engine} session fed textual history chunks (the
-    {!Repro_histlang.Syntax} language); streams are assigned to shards by
+    {!Repro_histlang.Syntax} language).  A stream keeps no text: each
+    chunk is parsed alone and grows the stream's history through a
+    {!Repro_histlang.Syntax.Session}, so an append costs the work of its
+    chunk, and a chunk that would change a relation among the stream's
+    nodes is refused with [err not an extension: ...].  Streams are assigned to shards by
     name hash, so one stream's appends execute single-threaded in arrival
     order while distinct streams certify in parallel.  With a truncation
     [window] every stream runs in bounded dense memory — the engine folds
@@ -35,7 +39,7 @@ module Chunks : sig
       names outside the NAME alphabet. *)
 end
 
-(** The length-prefixed line protocol (version 2), both directions.
+(** The length-prefixed line protocol (version 3), both directions.
     Requests:
     {v
     open <stream> [<window>]
@@ -48,18 +52,21 @@ end
     health
     slow [<threshold ms>]
     v}
-    Responses: [ok], [verdict <stream> accept <serial ids>],
+    Responses: [ok], [verdict <stream> accept] (an accepted append),
+    [verdict <stream> accept <serial ids>] (a [verdict] request),
     [verdict <stream> reject <failure-kind>], [json <nbytes>\n<payload>\n],
     [text <nbytes>\n<payload>\n], [err <message>].
 
-    Version 1 frames are a strict subset: an [append] without the
-    optional [t=…] trace-context token decodes exactly as before, and
-    every v1 request line is still a v2 request line, so old clients
-    interoperate with new servers (and vice versa — a v2 client that
-    sends no trace context and no admin request speaks pure v1). *)
+    Version 3 has the frames of version 2; it drops the serial witness
+    from the answer to an accepted append, which would otherwise grow
+    with the stream.  A client that reads only accept/reject and the
+    failure kind is unaffected.  Version 1 frames are a strict subset of
+    version 2: an [append] without the optional [t=…] trace-context
+    token decodes exactly as before, and every v1 request line is still
+    a v2 request line. *)
 module Wire : sig
   val protocol_version : int
-  (** [2]. *)
+  (** [3]. *)
 
   type ctx = { trace : int; parent : int }
   (** Trace context carried on an append frame: the (non-zero) trace id

@@ -88,7 +88,7 @@ python3 - <<'EOF'
 import json
 d = json.load(open("health.json"))
 assert d["schema"] == "compserve-health/1" and d["status"] == "ok"
-assert d["protocol"] == 2 and d["shards"] == 4
+assert d["protocol"] == 3 and d["shards"] == 4
 EOF
 "$BIN/compserve.exe" --connect "$SOCK" --admin slow > slow.json
 python3 - <<'EOF'

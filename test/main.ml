@@ -6,4 +6,4 @@ let () =
    @ Test_kernel.suite @ Test_increl.suite @ Test_monitor.suite
    @ Test_engine.suite
    @ Test_truncate.suite @ Test_server.suite
-   @ Test_forensics.suite @ Test_adt.suite)
+   @ Test_forensics.suite @ Test_adt.suite @ Test_session.suite)

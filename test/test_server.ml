@@ -310,12 +310,37 @@ let test_server_stream_lifecycle () =
   (match Server.request server (Server.Wire.Append { stream = "s"; body = "leaf ) x\n"; ctx = None }) with
   | Server.Wire.Err _ -> ()
   | _ -> Alcotest.fail "bad chunk must be refused");
-  (match
-     Server.request server (Server.Wire.Append { stream = "s"; body = List.nth chunks 1; ctx = None })
-   with
+  (* Chunks that declare the next root's names and then fail — on an
+     unknown parent, or on the extension contract (an order between two
+     operations the stream already has) — leave no names behind. *)
+  let append body = Server.request server (Server.Wire.Append { stream = "s"; body; ctx = None }) in
+  let refused what = function
+    | Server.Wire.Err _ -> ()
+    | _ -> Alcotest.fail (what ^ " must be refused")
+  in
+  refused "unknown parent" (append (List.nth chunks 1 ^ "leaf zz parent nosuch r(x)\n"));
+  let first = History.prefix_by_roots h 1 in
+  let s, a, b =
+    List.find_map
+      (fun (s : History.schedule) ->
+        match History.ops_of_schedule first s.History.sid with
+        | a :: b :: _ when not (Repro_order.Rel.mem a b s.History.weak_out) -> Some (s, a, b)
+        | a :: b :: _ -> Some (s, b, a)
+        | _ -> None)
+      (History.schedules first)
+    |> Option.get
+  in
+  (match append (List.nth chunks 1 ^ Fmt.str "order %s : n%d < n%d\n" s.History.sname a b) with
+  | Server.Wire.Err e ->
+    Alcotest.(check bool) "contract refusal names itself" true
+      (String.starts_with ~prefix:"not an extension" e)
+  | _ -> Alcotest.fail "an order between two old nodes must be refused");
+  (match append (List.nth chunks 1) with
   | Server.Wire.Verdict_r _ -> ()
   | Server.Wire.Err e -> Alcotest.fail ("stream wedged after bad chunk: " ^ e)
   | _ -> Alcotest.fail "expected a verdict");
+  (* Re-declaring an accepted name is refused. *)
+  refused "a duplicate node" (append (List.nth chunks 1));
   (* Explain carries the engine snapshot and the flight recorder. *)
   (match Server.request server (Server.Wire.Explain "s") with
   | Server.Wire.Json_r (Json.Obj fields) ->
@@ -328,6 +353,51 @@ let test_server_stream_lifecycle () =
   (match Server.request server (Server.Wire.Close "s") with
   | Server.Wire.Err _ -> ()
   | _ -> Alcotest.fail "double close must fail");
+  Server.drain server
+
+(* A chunk that orders two nodes of earlier chunks does not extend the
+   stream: the engine only replays rules on pairs with a new endpoint, so
+   accepting it would certify a history that [compcheck] rejects (here a
+   cluster cycle T0 -> T1 -> T0).  It must be refused, leave the stream at
+   its two-chunk state, and the chunk without that line must land. *)
+let test_server_non_extension () =
+  let server = Server.create ~shards:1 () in
+  let append body =
+    Server.request server (Server.Wire.Append { stream = "s"; body; ctx = None })
+  in
+  expect_ok (Server.request server (Server.Wire.Open { stream = "s"; window = None }));
+  let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls) in
+  let accepted what = function
+    | Server.Wire.Verdict_r { accepted = true; detail = ""; _ } -> ()
+    | _ -> Alcotest.fail (what ^ ": expected a bare accept")
+  in
+  accepted "chunk 1"
+    (append
+       (lines
+          [
+            "schedule SP conflict same-item"; "schedule SA conflict rw";
+            "root n0 @ SP T0"; "tx n1 @ SA parent n0 add(x1)"; "leaf n2 parent n1 w(x1)";
+            "tx n3 @ SA parent n0 add(x2)"; "leaf n4 parent n3 w(x2)";
+          ]));
+  accepted "chunk 2"
+    (append
+       (lines
+          [
+            "root n5 @ SP T1"; "tx n6 @ SA parent n5 add(x1)"; "leaf n7 parent n6 w(x1)";
+            "tx n8 @ SA parent n5 add(x2)"; "leaf n9 parent n8 w(x2)"; "order SP : n1 < n6";
+          ]));
+  let chunk3 =
+    [ "root n10 @ SP T2"; "tx n11 @ SA parent n10 add(x9)"; "leaf n12 parent n11 w(x9)" ]
+  in
+  (match append (lines (chunk3 @ [ "order SP : n8 < n3" ])) with
+  | Server.Wire.Err e ->
+    Alcotest.(check bool) ("refusal: " ^ e) true (String.starts_with ~prefix:"not an extension: " e)
+  | _ -> Alcotest.fail "an order between two old nodes was accepted");
+  (match Server.request server (Server.Wire.Verdict "s") with
+  | Server.Wire.Verdict_r { accepted = true; detail; _ } ->
+    Alcotest.(check string) "verdict of the two-chunk state" "0 5" detail
+  | _ -> Alcotest.fail "expected the two-chunk accept");
+  accepted "chunk 3 without its order line" (append (lines chunk3));
   Server.drain server
 
 let test_server_stats_and_drain () =
@@ -644,6 +714,7 @@ let suite =
         Alcotest.test_case "windowed multi-stream parity" `Quick
           test_server_windowed_parity;
         Alcotest.test_case "stream lifecycle" `Quick test_server_stream_lifecycle;
+        Alcotest.test_case "non-extension chunk refused" `Quick test_server_non_extension;
         Alcotest.test_case "stats barrier and drain" `Quick
           test_server_stats_and_drain;
         Alcotest.test_case "admin plane" `Quick test_server_admin_plane;
