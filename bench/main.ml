@@ -2111,7 +2111,12 @@ let e20 () =
    operation to one of the 12 newest roots instead of a root.  The closed
    orders grow with the item chains, so the session's words still rise
    with depth: with the closed-order pairs each append adds, not with the
-   text of the stream. *)
+   text of the stream.
+
+   The same histories also go through a windowed engine session (window
+   64), which prices certification on that stream and counts how often
+   its folds are undone: a restore recomputes the whole prefix's
+   closure, so CI gates restores per append at the deepest row. *)
 
 let e21_chunks ~roots =
   let rng = Prng.create ~seed:21 in
@@ -2163,9 +2168,12 @@ let e21 () =
     \  The re-parse column is the server's former ingestion, sampled at@.\
     \  up to 11 appends.  Pairs counts the closed-order pairs an append@.\
     \  adds; they grow with the item chains (ROADMAP item 4), and the@.\
-    \  session's words grow with them.@.";
-  Fmt.pr "  %-6s %8s %9s %14s %11s %7s %14s %11s@." "roots" "appends" "text-KB"
-    "session-words" "session-us" "pairs" "reparse-words" "reparse-us";
+    \  session's words grow with them.  The engine columns feed each@.\
+    \  session history to Engine.create ~window:64 (); CI gates its@.\
+    \  restores per append at 1024 roots (at most 0.01).@.";
+  Fmt.pr "  %-6s %8s %9s %14s %11s %7s %14s %11s %12s %9s %8s %6s %6s@." "roots"
+    "appends" "text-KB" "session-words" "session-us" "pairs" "reparse-words"
+    "reparse-us" "engine-words" "engine-us" "restores" "folds" "kernel";
   let measure f =
     let w0 = Gc.minor_words () in
     let t0 = now_wall () in
@@ -2232,10 +2240,37 @@ let e21 () =
         then
           failwith
             (Fmt.str "e21: at %d roots the session differs from the re-parse" roots);
+        (* The same stream through a windowed engine session, as
+           compserve's default window would certify it.  A second session
+           pass feeds the engine, so its memo never warms the timed
+           session above. *)
+        let eng = Repro_core.Engine.create ~window:64 () in
+        let session = ref (Repro_histlang.Syntax.Session.empty ()) in
+        let ew = ref [] and et = ref [] in
+        Array.iteri
+          (fun i chunk ->
+            session := Repro_histlang.Syntax.Session.feed !session chunk;
+            let h = Repro_histlang.Syntax.Session.history !session in
+            let v, w, t = measure (fun () -> Repro_core.Engine.extend eng h) in
+            (match v with
+            | Repro_core.Engine.Accepted _ -> ()
+            | Repro_core.Engine.Rejected _ ->
+              failwith (Fmt.str "e21: the engine rejected append %d at %d roots" i roots));
+            if deep i then begin
+              ew := w :: !ew;
+              et := t :: !et
+            end)
+          chunks;
+        let restores = Repro_core.Engine.restores eng in
+        let truncations = Repro_core.Engine.truncations eng in
+        let kernel_hits = (Repro_core.Engine.stats eng).Repro_core.Engine.kernel_hits in
         let sw = e21_median !sw and st = e21_median !st and sp = e21_median !sp in
         let rw = e21_median !rw and rt = e21_median !rt in
-        Fmt.pr "  %-6d %8d %9.1f %14.0f %11.1f %7.0f %14.0f %11.1f@." roots n
-          (float_of_int (Buffer.length text) /. 1024.0) sw st sp rw rt;
+        let ew = e21_median !ew and et = e21_median !et in
+        Fmt.pr "  %-6d %8d %9.1f %14.0f %11.1f %7.0f %14.0f %11.1f %12.0f %9.1f %8d %6d %6d@."
+          roots n
+          (float_of_int (Buffer.length text) /. 1024.0) sw st sp rw rt ew et restores
+          truncations kernel_hits;
         ( roots,
           ( Fmt.str "roots-%d" roots,
             Json.Obj
@@ -2249,6 +2284,11 @@ let e21 () =
                 ("order_pairs_per_append", Json.Float sp);
                 ("reparse_words_per_append", Json.Float rw);
                 ("reparse_us_per_append", Json.Float rt);
+                ("engine_words_per_append", Json.Float ew);
+                ("engine_us_per_append", Json.Float et);
+                ("engine_restores", Json.Int restores);
+                ("engine_truncations", Json.Int truncations);
+                ("engine_kernel_hits", Json.Int kernel_hits);
               ] ) ))
       [ 64; 256; 1024 ]
   in

@@ -489,10 +489,13 @@ let window_arg =
   let doc =
     "Truncation window, in nodes.  Daemon mode: the default for every \
      stream; client mode: requested per opened stream.  Once a stream's \
-     active suffix reaches $(docv) nodes after an accepted append, the \
-     certified prefix is folded into a compact summary and its dense state \
-     released, so per-stream resident memory is bounded by the window, \
-     not the stream length."
+     window holds $(docv) nodes after an accepted append, the certified \
+     prefix is folded into a compact summary behind a dense tail of the \
+     newest nodes (half the window where the stream allows) and its dense \
+     state released, so per-stream resident memory is bounded by the \
+     window, not the stream length, until an append reaches into the \
+     folded prefix: that restores the prefix's dense state until the \
+     next fold."
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"NODES" ~doc)
 
@@ -552,7 +555,8 @@ let cmd =
          executions stream in over one Unix socket, each is certified \
          incrementally (Comp-C, per appended chunk) by a monitored engine \
          session pinned to a worker domain, and with $(b,--window) every \
-         session runs in bounded memory however long its stream grows.  \
+         session's dense state is bounded by its window between restores, \
+         however long its stream grows.  \
          The protocol is a length-prefixed line protocol (version 3): \
          open/append/verdict/explain/close per stream id (an accepted \
          append answers without the serial witness, which verdict \

@@ -201,11 +201,14 @@ let monitor_arg =
 
 let window_arg =
   let doc =
-    "Monitor mode: bounded-memory streaming.  Once the active suffix \
-     reaches $(docv) nodes after an accepted append, the certified prefix \
-     is folded into a compact summary and its dense per-node state \
-     released, so the session's resident memory is proportional to the \
-     window, not the stream.  Verdicts are unchanged."
+    "Monitor mode: bounded-memory streaming.  Once the window holds \
+     $(docv) nodes after an accepted append, the certified prefix is \
+     folded into a compact summary behind a dense tail of the newest \
+     nodes (half the window where the stream allows) and its dense \
+     per-node state released, so the session's resident memory is \
+     proportional to the window, not the stream, until an append \
+     reaches into the folded prefix and restores it up to the next \
+     fold.  Verdicts are unchanged."
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"NODES" ~doc)
 

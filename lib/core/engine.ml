@@ -34,18 +34,24 @@ type frame = {
    quotients, plus the cached serial witness of the final front.  Edges
    are only ever added — relations only grow under the extension
    contract — and the whole value is dropped on {!undo}, on a level
-   shift, and on a rejection (sticky from there under stable levels). *)
+   shift, on a fold, and on a rejection (sticky from there under stable
+   levels).  On a folded session the graphs cover the window only: node
+   [v] sits at index [v - k_floor], and the folded roots' certified order
+   [k_prefix] heads every witness. *)
 type kernel = {
   k_order : int;
+  k_floor : int; (* the session's floor when the kernel was built *)
+  k_prefix : id list; (* the folded roots in certified order *)
   cc : Increl.t array;
       (* [cc.(lvl)]: the level-[lvl] front's constraint graph obs ∪ inp
-         over the dense node universe; non-members stay isolated. *)
+         over the dense window universe; non-members stay isolated. *)
   quot : Increl.t array;
       (* [quot.(lvl)], lvl >= 1: the step-[lvl] cluster quotient of the
          layout constraints.  Slot 0 is unused. *)
-  mutable roots_rev : id list; (* every root, newest first *)
+  mutable roots_rev : id list; (* every window root, newest first *)
   mutable n_roots : int;
-  mutable serial : id list; (* cached witness order of [roots_rev] *)
+  mutable serial : id list;
+      (* cached witness: [k_prefix], then [roots_rev] in key order *)
   mutable serial_edges : int;
       (* [Increl.n_edges cc.(k_order)] when [serial] was sorted; -1 when
          no witness is cached.  Keys only move when that graph gains an
@@ -58,12 +64,26 @@ type kernel = {
 type summary = {
   s_nodes : int; (* the fold point: every node below it is folded *)
   s_roots : int;
-  s_serial : id list; (* the certified serial witness at the fold *)
-  s_front_sizes : int array; (* per-level front cardinality at the fold *)
+  s_serial : id list; (* the folded roots in certified order *)
+  s_front_sizes : int array; (* per-level front cardinality of the fold *)
   s_boundary_obs : (id * id) list;
       (* observed pairs crossing the previous fold point — the seam
-         between the previously folded region and this window *)
+         between the previously folded region and what this fold
+         absorbed *)
 }
+
+(* Why a folded session re-materialized its dense state, with each
+   cause's metric label; a session counts its restores per cause in this
+   order. *)
+type restore_cause = Below_floor | Folded_tx | Level_shift | Forensic
+
+let restore_causes =
+  [
+    (Below_floor, "below_floor");
+    (Folded_tx, "folded_tx");
+    (Level_shift, "level_shift");
+    (Forensic, "forensic");
+  ]
 
 type t = {
   obs : Sink.t;
@@ -77,15 +97,20 @@ type t = {
       (* nodes below this are folded: their dense per-node state (closure
          pairs, memo rows, mirror rows, provenance) was released by
          {!truncate} and the frame's relations cover the window only.
-         0 = untruncated.  The kernel is never kept while folded. *)
+         0 = untruncated. *)
   mutable summary : summary option; (* the immutable fold record *)
   window : int option; (* auto-truncation watermark, in window nodes *)
   mutable eff_window : int;
       (* current watermark: starts at [window] and doubles (capped at 8x)
-         every time a breach forces a restore, so a stream whose appends
-         keep reaching into the fold stops thrashing fold/restore *)
+         on every breach restore, so a stream whose appends keep reaching
+         back widens its own retained tail *)
+  mutable mark : int;
+      (* node count at the last restore, 0 once a fold follows it: the
+         watermark counts window nodes from the later of this and the
+         floor, so a restored session stays dense for [eff_window] nodes
+         before it folds *)
   mutable truncations : int;
-  mutable restores : int;
+  by_cause : int array; (* restores, in [restore_causes] order *)
   mutable appends : int;
   mutable fastpath_hits : int;
   mutable delta_hits : int;
@@ -123,8 +148,9 @@ let create ?(obs = Sink.null) ?window () =
     summary = None;
     window;
     eff_window = (match window with Some w -> w | None -> max_int);
+    mark = 0;
     truncations = 0;
-    restores = 0;
+    by_cause = Array.make (List.length restore_causes) 0;
     appends = 0;
     fastpath_hits = 0;
     delta_hits = 0;
@@ -173,22 +199,19 @@ let fast_path_ok cur h =
    with Exit -> ok := false);
   !ok
 
-(* Every new node must hang under a new node or be a root: old
-   transactions then keep their children (shared nodes keep parents), so
-   their intra graphs, front membership and cluster assignments are all
-   unchanged by the extension. *)
-let structure_ok cur h =
-  let n_old = History.n_nodes cur.h in
-  let n_new = History.n_nodes h in
-  let ok = ref true in
-  (try
-     for i = n_old to n_new - 1 do
-       match History.parent h i with
-       | Some p when p < n_old -> raise Exit
-       | _ -> ()
-     done
-   with Exit -> ok := false);
-  !ok
+(* The smallest parent among the nodes the extension added ([max_int]
+   when every new node is a root).  At or above [n_old], every new node
+   hangs under a new node or is a root: old transactions then keep their
+   children (shared nodes keep parents), so their intra graphs, front
+   membership and cluster assignments are all unchanged by the
+   extension.  Below the floor, an operation joined a folded transaction,
+   whose Def. 14 graph the window no longer holds. *)
+let min_new_parent cur h =
+  let m = ref max_int in
+  for i = History.n_nodes cur.h to History.n_nodes h - 1 do
+    match History.parent h i with Some p when p < !m -> m := p | _ -> ()
+  done;
+  !m
 
 (* [forward n_old delta]: every pair the extension added points {e into}
    the new block (target identifier at or above [n_old]; the source may be
@@ -229,7 +252,7 @@ let cls_at h lvl v =
   | _ -> v
 
 let kernel_sync k h =
-  let n = History.n_nodes h in
+  let n = History.n_nodes h - k.k_floor in
   Array.iter (fun g -> Increl.ensure_nodes g n) k.cc;
   for lvl = 1 to k.k_order do
     Increl.ensure_nodes k.quot.(lvl) n
@@ -242,72 +265,81 @@ let kernel_sync k h =
    is final) — a quotient edge at every step where the endpoints sit in
    distinct clusters.  A constraint landing {e inside} one cluster
    changes that transaction's Def. 14 feasibility graph instead: [dirty]
-   receives it for an explicit re-check. *)
-let kernel_feed_pair k h ~is_constraint ~dirty a b =
-  let order = k.k_order in
-  let la = node_lo h a and ha = node_hi h ~order a in
-  let lb = node_lo h b and hb = node_hi h ~order b in
-  let lo = max la lb and hi = min ha hb in
-  for lvl = lo to hi do
-    Increl.add_edge k.cc.(lvl) a b
-  done;
-  if is_constraint then
-    for lvl = max 1 (lo + 1) to min order (hi + 1) do
-      let ca = cls_at h lvl a and cb = cls_at h lvl b in
-      if ca <> cb then Increl.add_edge k.quot.(lvl) ca cb
-      else if ca <> a || cb <> b then dirty lvl ca
-    done
+   receives it for an explicit re-check.  A boundary pair (folded
+   source) is not fed: no pair runs from the window into the folded
+   region, so a folded node is a source in every graph and quotient and
+   lies on no cycle. *)
+let kernel_feed_pair k h rel ~inp ~dirty a b =
+  let fl = k.k_floor in
+  if a >= fl then begin
+    let order = k.k_order in
+    let la = node_lo h a and ha = node_hi h ~order a in
+    let lb = node_lo h b and hb = node_hi h ~order b in
+    let lo = max la lb and hi = min ha hb in
+    for lvl = lo to hi do
+      Increl.add_edge k.cc.(lvl) (a - fl) (b - fl)
+    done;
+    if inp || Observed.conflict h rel a b then
+      for lvl = max 1 (lo + 1) to min order (hi + 1) do
+        let ca = cls_at h lvl a and cb = cls_at h lvl b in
+        if ca <> cb then Increl.add_edge k.quot.(lvl) (ca - fl) (cb - fl)
+        else if ca <> a || cb <> b then dirty lvl ca
+      done
+  end
 
 let kernel_nothing_dirty _ _ = ()
+
+let kernel_add_roots k h ~from =
+  for v = from to History.n_nodes h - 1 do
+    if History.parent h v = None then begin
+      k.roots_rev <- v :: k.roots_rev;
+      k.n_roots <- k.n_roots + 1
+    end
+  done
 
 (* Feed an append's exact relation delta (and register its new roots).
    O(|delta| x order) plus the affected-region work of the reorders. *)
 let kernel_feed k h (rel : Observed.relations) ~n_old ~dirty
     (delta : Observed.delta) =
   kernel_sync k h;
-  for v = n_old to History.n_nodes h - 1 do
-    if History.parent h v = None then begin
-      k.roots_rev <- v :: k.roots_rev;
-      k.n_roots <- k.n_roots + 1
-    end
-  done;
+  kernel_add_roots k h ~from:n_old;
   List.iter
-    (fun (a, b) ->
-      kernel_feed_pair k h
-        ~is_constraint:(Observed.conflict h rel a b)
-        ~dirty a b)
+    (fun (a, b) -> kernel_feed_pair k h rel ~inp:false ~dirty a b)
     delta.Observed.d_obs;
   List.iter
-    (fun (a, b) -> kernel_feed_pair k h ~is_constraint:true ~dirty a b)
+    (fun (a, b) -> kernel_feed_pair k h rel ~inp:true ~dirty a b)
     delta.Observed.d_inp
 
-(* Build the kernel from a frame's full relations: the one-time
-   O(|relations| x order) cost paid on the first append that needs it. *)
-let kernel_build h (rel : Observed.relations) =
+(* Build the kernel from a frame's relations over the window at [floor]:
+   the one-time O(|relations| x order) cost paid on the first append
+   that needs it after a fold (or on a dense session's first). *)
+let kernel_build h (rel : Observed.relations) ~floor ~prefix =
   let order = History.order h in
-  let n = History.n_nodes h in
+  let graphs () =
+    Array.init (order + 1) (fun _ ->
+        Increl.create ~capacity:(History.n_nodes h - floor) ())
+  in
   let k =
     {
       k_order = order;
-      cc = Array.init (order + 1) (fun _ -> Increl.create ~capacity:n ());
-      quot = Array.init (order + 1) (fun _ -> Increl.create ~capacity:n ());
-      roots_rev = List.rev (History.roots h);
-      n_roots = List.length (History.roots h);
+      k_floor = floor;
+      k_prefix = prefix;
+      cc = graphs ();
+      quot = graphs ();
+      roots_rev = [];
+      n_roots = 0;
       serial = [];
       serial_edges = -1;
       serial_roots = 0;
     }
   in
   kernel_sync k h;
+  kernel_add_roots k h ~from:floor;
   Rel.iter
-    (fun a b ->
-      kernel_feed_pair k h
-        ~is_constraint:(Observed.conflict h rel a b)
-        ~dirty:kernel_nothing_dirty a b)
+    (kernel_feed_pair k h rel ~inp:false ~dirty:kernel_nothing_dirty)
     rel.Observed.obs;
   Rel.iter
-    (fun a b ->
-      kernel_feed_pair k h ~is_constraint:true ~dirty:kernel_nothing_dirty a b)
+    (kernel_feed_pair k h rel ~inp:true ~dirty:kernel_nothing_dirty)
     rel.Observed.inp;
   k
 
@@ -344,8 +376,11 @@ let recheck_tx h (rel : Observed.relations) lvl t =
    every graph this append did not touch, so only the fed edges and the
    [dirty] transactions can flip the answer. *)
 let kernel_verdict k h rel ~dirty =
+  let fl = k.k_floor in
   let cycle_exn g =
-    match Increl.find_cycle g with Some c -> c | None -> assert false
+    match Increl.find_cycle g with
+    | Some c -> List.map (fun i -> i + fl) c
+    | None -> assert false
   in
   try
     if not (Increl.acyclic k.cc.(0)) then
@@ -366,15 +401,18 @@ let kernel_verdict k h rel ~dirty =
     done;
     (* Accepted.  The final front holds exactly the roots (only they keep
        membership up to the top level), so the maintained keys of its
-       constraint graph sort them into a witness; the sort — and its
-       allocation — is skipped while that graph gains no edge. *)
+       constraint graph sort the window's roots; the folded roots precede
+       them all (every pair between the two runs folded → window).  The
+       sort — and its allocation — is skipped while that graph gains no
+       edge. *)
     let g = k.cc.(k.k_order) in
     let e = Increl.n_edges g in
     if e <> k.serial_edges then begin
       k.serial <-
-        List.sort
-          (fun a b -> compare (Increl.pos g a) (Increl.pos g b))
-          k.roots_rev;
+        k.k_prefix
+        @ List.sort
+            (fun a b -> compare (Increl.pos g (a - fl)) (Increl.pos g (b - fl)))
+            k.roots_rev;
       k.serial_edges <- e;
       k.serial_roots <- k.n_roots
     end
@@ -531,11 +569,13 @@ let delta_reduce cur (rel : Observed.relations) ~d_obs ~d_inp h =
    the floor drops to 0.  The carried verdict is untouched — windowed
    verdicts are exact (see the truncation invariants in DESIGN.md §14) —
    so nothing is re-decided; only the derived dense state is
-   re-materialized.  Paid on the rare appends the window cannot decide
-   (level shifts, appends into old transactions, backward edges, probes
-   into the folded region) and on forensic demands against a truncated
-   frame. *)
-let restore t =
+   re-materialized.  Paid on the appends the window cannot decide — a
+   pair landing in the folded prefix, an operation under a folded
+   transaction, a level shift — and on forensic demands against a
+   truncated frame.  A breach (every cause but [Forensic]) doubles the
+   watermark, so a stream that keeps reaching back widens its own
+   retained tail. *)
+let restore t cause =
   match t.cur with
   | Some f when t.floor > 0 ->
     let metrics = t.obs.Sink.metrics in
@@ -551,104 +591,176 @@ let restore t =
           prov = None;
         };
     t.floor <- 0;
+    t.mark <- History.n_nodes f.h;
     t.summary <- None;
     t.snapshot <- None;
     t.kernel <- None;
     Observed.inc_rebase t.inc ~floor:0;
-    t.restores <- t.restores + 1;
-    (* Back off the watermark: a stream whose appends keep reaching into
-       the fold would otherwise thrash truncate/restore. *)
-    (match t.window with
-    | Some w -> t.eff_window <- min (2 * t.eff_window) (8 * w)
-    | None -> ());
-    Metrics.incr metrics "engine.restores";
+    let i = Option.get (List.find_index (fun (c, _) -> c = cause) restore_causes) in
+    t.by_cause.(i) <- t.by_cause.(i) + 1;
+    let name = List.assoc cause restore_causes in
+    (match (t.window, cause) with
+    | Some w, (Below_floor | Folded_tx | Level_shift) ->
+      t.eff_window <- min (2 * t.eff_window) (8 * w)
+    | _ -> ());
+    Metrics.incr metrics
+      ~labels:(Labels.v [ ("cause", name) ])
+      "engine.restores";
     if Recorder.enabled t.obs.Sink.recorder then
       Recorder.record t.obs.Sink.recorder ~severity:Recorder.Warn
         ~cat:"engine"
-        ~labels:(Labels.v [ ("nodes", string_of_int (History.n_nodes f.h)) ])
+        ~labels:
+          (Labels.v
+             [
+               ("nodes", string_of_int (History.n_nodes f.h));
+               ("cause", name);
+             ])
         "restore"
   | _ -> ()
 
-(* Fold the certified prefix into an immutable summary and release the
-   dense per-node state: the frame keeps its history and verdict (the
-   serial witness is part of the summary and of every later Accepted
-   verdict), but the closure relations are emptied, the conflict memo's
-   planes are dropped ({!History.memo_release}), the dense mirror rebases
-   onto the (initially empty) window and gives its bit matrices back,
-   and the kernel, snapshot, certificate and provenance index are
-   released.  Session memory is O(active window) from here until a
-   restore.  Idempotent: folding at an unchanged node count is a no-op.
-   Only an accepted prefix can be folded — a rejection's witness lives in
-   the dense state that truncation releases. *)
+(* Fold the certified prefix below [at] into an immutable summary and
+   release the dense per-node state: the frame keeps its history and
+   verdict (the folded roots' order is part of the summary and of every
+   later Accepted verdict), but its relations keep only the pairs with
+   both endpoints at or above [at], the conflict memo's planes are
+   dropped ({!History.memo_release}), the dense mirror rebases onto the
+   retained window and gives its bit matrices back, and the kernel,
+   snapshot, certificate and provenance index are released.  Session
+   memory is O(window) from here until a restore.  [at] must be a legal
+   fold point (see [fold_point]) at or below the node count.  Only an
+   accepted prefix can be folded — a rejection's witness lives in the
+   dense state that truncation releases. *)
+let fold t f ~at =
+  match f.verdict with
+  | Rejected _ ->
+    invalid_arg
+      "Engine.truncate: only an accepted (certified) prefix can be folded"
+  | Accepted serial ->
+    let metrics = t.obs.Sink.metrics in
+    let h = f.h in
+    let order = History.order h in
+    let prev_floor = t.floor in
+    (* Counts carry over from the previous fold; levels have not moved
+       since (a level shift restores). *)
+    let fronts, roots, from =
+      match t.summary with
+      | Some s -> (Array.copy s.s_front_sizes, s.s_roots, prev_floor)
+      | None -> (Array.make (order + 1) 0, 0, 0)
+    in
+    let roots = ref roots in
+    for v = from to at - 1 do
+      if History.parent h v = None then incr roots;
+      for l = node_lo h v to node_hi h ~order v do
+        fronts.(l) <- fronts.(l) + 1
+      done
+    done;
+    let boundary =
+      List.rev
+        (Rel.fold
+           (fun a b acc ->
+             if a < prev_floor && b >= prev_floor && b < at then (a, b) :: acc
+             else acc)
+           f.rel.Observed.obs [])
+    in
+    t.summary <-
+      Some
+        {
+          s_nodes = at;
+          s_roots = !roots;
+          s_serial = List.filter (fun r -> r < at) serial;
+          s_front_sizes = fronts;
+          s_boundary_obs = boundary;
+        };
+    let rel = Observed.window f.rel ~floor:at in
+    t.cur <-
+      Some
+        {
+          f with
+          rel;
+          n_obs = Rel.cardinal rel.Observed.obs;
+          n_inp = Rel.cardinal rel.Observed.inp;
+          cert = None;
+          prov = None;
+        };
+    History.memo_release h;
+    Observed.inc_rebase t.inc ~floor:at;
+    t.kernel <- None;
+    t.snapshot <- None;
+    t.floor <- at;
+    t.mark <- 0;
+    t.truncations <- t.truncations + 1;
+    Metrics.incr metrics "engine.truncations";
+    Metrics.set metrics "engine.floor" (float_of_int at);
+    if Recorder.enabled t.obs.Sink.recorder then
+      Recorder.record t.obs.Sink.recorder ~severity:Recorder.Info
+        ~cat:"engine"
+        ~labels:
+          (Labels.v
+             [ ("nodes", string_of_int at); ("roots", string_of_int !roots) ])
+        "truncate"
+
+(* Where auto-truncation folds a window of [n] nodes: the largest legal
+   point in [(floor, limit]], or, when none is legal, the smallest legal
+   point above [limit], which keeps what it can of the tail ([n] itself,
+   folding everything, is always legal).  A point [p] is legal when no
+   node at or above [p] has an ancestor below it and no observed or input
+   pair runs from a node at or above [p] to one below it.  Then no edge of
+   any front constraint graph, feasibility graph or cluster quotient
+   enters the folded region, so no cycle can cross the floor, and the
+   window alone decides every later append that keeps it so.  Each parent
+   edge and each backward pair [(a, b)], [a > b], rules out the points in
+   [(b, a]]; a difference array over the candidates finds the survivors in
+   O(window nodes + |relations|). *)
+let fold_point t f ~limit =
+  let lo = t.floor and n = History.n_nodes f.h in
+  let cover = Array.make (n - lo + 2) 0 in
+  let forbid b a =
+    let l = max (b + 1) (lo + 1) and u = min a n in
+    if l <= u then begin
+      cover.(l - lo) <- cover.(l - lo) + 1;
+      cover.(u - lo + 1) <- cover.(u - lo + 1) - 1
+    end
+  in
+  for v = lo to n - 1 do
+    match History.parent f.h v with
+    | Some p -> forbid (min p v) (max p v)
+    | None -> ()
+  done;
+  let backward a b = if a > b then forbid b a in
+  Rel.iter backward f.rel.Observed.obs;
+  Rel.iter backward f.rel.Observed.inp;
+  let below = ref None and above = ref None and covered = ref 0 in
+  for p = lo + 1 to n do
+    covered := !covered + cover.(p - lo);
+    if !covered = 0 then
+      if p <= limit then below := Some p
+      else if !above = None then above := Some p
+  done;
+  match (!below, !above) with Some p, _ | None, Some p -> p | None, None -> n
+
+(* Fold everything: the explicit entry point.  Idempotent — folding at an
+   unchanged node count is a no-op. *)
 let truncate t =
   match t.cur with
-  | None -> ()
-  | Some f ->
-    let n = History.n_nodes f.h in
-    if n > t.floor then begin
-      match f.verdict with
-      | Rejected _ ->
-        invalid_arg
-          "Engine.truncate: only an accepted (certified) prefix can be folded"
-      | Accepted serial ->
-        let metrics = t.obs.Sink.metrics in
-        let order = History.order f.h in
-        let fronts =
-          Array.init (order + 1) (fun l ->
-              Int_set.cardinal (Front.members_at f.h l))
-        in
-        let prev_floor = t.floor in
-        let boundary =
-          List.rev
-            (Rel.fold
-               (fun a b acc ->
-                 if a < prev_floor && b >= prev_floor then (a, b) :: acc
-                 else acc)
-               f.rel.Observed.obs [])
-        in
-        t.summary <-
-          Some
-            {
-              s_nodes = n;
-              s_roots = List.length (History.roots f.h);
-              s_serial = serial;
-              s_front_sizes = fronts;
-              s_boundary_obs = boundary;
-            };
-        t.cur <-
-          Some
-            {
-              f with
-              rel =
-                {
-                  Observed.obs = Rel.empty;
-                  inp = Rel.empty;
-                  inp_strong = Rel.empty;
-                };
-              n_obs = 0;
-              n_inp = 0;
-              cert = None;
-              prov = None;
-            };
-        History.memo_release f.h;
-        Observed.inc_rebase t.inc ~floor:n;
-        t.kernel <- None;
-        t.snapshot <- None;
-        t.floor <- n;
-        t.truncations <- t.truncations + 1;
-        Metrics.incr metrics "engine.truncations";
-        Metrics.set metrics "engine.floor" (float_of_int n);
-        if Recorder.enabled t.obs.Sink.recorder then
-          Recorder.record t.obs.Sink.recorder ~severity:Recorder.Info
-            ~cat:"engine"
-            ~labels:
-              (Labels.v
-                 [
-                   ("nodes", string_of_int n);
-                   ("roots", string_of_int (List.length (History.roots f.h)));
-                 ])
-            "truncate"
-    end
+  | Some f when History.n_nodes f.h > t.floor ->
+    fold t f ~at:(History.n_nodes f.h)
+  | _ -> ()
+
+(* The auto-truncation watermark, checked before each monitored append:
+   once the window holds [eff_window] nodes, counted from the later of
+   the floor and the last restore, fold at [fold_point], aiming to retain
+   at least half the watermark so appends under the newest roots stay in
+   the window.  Open roots that keep taking operations can rule out every
+   such point; the fold then keeps the largest legal tail it can,
+   possibly none.  Only an accepted frame folds (a rejection's witness
+   needs the dense state), and only sessions created with [?window]. *)
+let maybe_truncate t =
+  match (t.window, t.cur) with
+  | Some _, Some ({ verdict = Accepted _; h; _ } as f) ->
+    let n = History.n_nodes h in
+    if n - max t.floor t.mark >= t.eff_window then
+      fold t f ~at:(fold_point t f ~limit:(n - (t.eff_window / 2)))
+  | _ -> ()
 
 let summary t = t.summary
 
@@ -656,7 +768,10 @@ let floor t = t.floor
 
 let truncations t = t.truncations
 
-let restores t = t.restores
+let restores t = Array.fold_left ( + ) 0 t.by_cause
+
+let restores_by_cause t =
+  List.mapi (fun i (_, name) -> (name, t.by_cause.(i))) restore_causes
 
 (* Advance the session to [h].  [monitor] selects the metric vocabulary:
    the monitor-facing [extend] reports [monitor.appends] and
@@ -697,40 +812,49 @@ let advance ~monitor t h =
         prov = None;
       }
     | Some cur0 ->
-      (* A truncated session (floor > 0) decides the streaming-shaped
-         appends over the window alone; any other shape — a level shift,
-         an operation appended into an old transaction, a backward edge,
-         or a derived pair reaching into the folded region
-         ([Below_floor]) — restores the exact dense state first and
-         re-decides.  At most one retry: restore drops the floor to 0.
-         Windowed verdicts are exact (DESIGN.md §14), so a restore never
-         changes an already-carried verdict. *)
+      (* A truncated session (floor > 0) decides every append over the
+         window alone while the window stays closed under it: no pair
+         may land in the folded prefix ([Below_floor] from the
+         saturation, or an input pair's target), no operation may join a
+         folded transaction, and levels must hold.  A breach restores
+         the exact dense state first and re-decides.  At most one retry:
+         restore drops the floor to 0.  Windowed verdicts are exact
+         (DESIGN.md §14), so a restore never changes an already-carried
+         verdict. *)
       let rec decide cur =
         let n_old = History.n_nodes cur.h in
-        let structure = structure_ok cur h in
+        let fl = t.floor in
+        let levels = levels_of h in
+        let stable_levels = levels = cur.levels in
+        let redecide cause =
+          restore t cause;
+          decide (match t.cur with Some f -> f | None -> assert false)
+        in
+        let min_parent = min_new_parent cur h in
+        (* A level shift or an operation under a folded transaction is
+           never fast or forward, so a folded session restores for either
+           before paying for the saturation. *)
+        if fl > 0 && not stable_levels then redecide Level_shift
+        else if min_parent < fl then redecide Folded_tx
+        else
+        let structure = min_parent >= n_old in
         (* The memo's id-ordered ranks are stable under every extension —
            including operations appended to old transactions — so the
            transfer is unconditional, and along the streaming chain it
            lends the previous snapshot's arrays instead of copying them. *)
         History.extend_cache ~from:cur.h h;
         match Observed.extend ~metrics ~inc:t.inc ~prev:cur.rel ~n_old h with
-        | exception Observed.Below_floor _ ->
-          restore t;
-          decide (match t.cur with Some f -> f | None -> assert false)
+        | exception Observed.Below_floor _ -> redecide Below_floor
+        | _, { Observed.d_inp; _ }
+          when fl > 0 && List.exists (fun ((_, b) : id * id) -> b < fl) d_inp ->
+          redecide Below_floor
         | rel, delta ->
           let d_obs = delta.Observed.d_obs and d_inp = delta.Observed.d_inp in
-          let levels = levels_of h in
-          let stable_levels = levels = cur.levels in
           let stable = stable_levels && structure in
           let fast =
             stable && d_obs = [] && d_inp = [] && fast_path_ok cur h
           in
           let fwd = stable && forward n_old d_obs && forward n_old d_inp in
-          if (not (fast || fwd)) && t.floor > 0 then begin
-            restore t;
-            decide (match t.cur with Some f -> f | None -> assert false)
-          end
-          else begin
           let verdict, cert =
             if fast then begin
           path := "fast";
@@ -785,7 +909,9 @@ let advance ~monitor t h =
              an edge landed inside the old block (or an operation under an
              old transaction).  Old nodes keep their front memberships and
              cluster maps, so the delta perturbs exactly the graphs its
-             edges land in — feed them and read the acyclicity flags. *)
+             edges land in — feed them and read the acyclicity flags.  On
+             a folded session the same holds over the window: no breach
+             means every fed edge and dirty transaction lies in it. *)
           path := "kernel";
           t.kernel_hits <- t.kernel_hits + 1;
           Metrics.incr metrics "monitor.kernel_hits";
@@ -799,11 +925,14 @@ let advance ~monitor t h =
               match t.kernel with
               | Some k -> k
               | None ->
-                (* First fallback of the session: build from the previous
-                   frame — the state the verdict being extended was
-                   accepted on — then feed this append's delta like any
-                   other. *)
-                let k = kernel_build cur.h cur.rel in
+                (* First fallback since the session started or last
+                   folded: build over the window from the previous frame
+                   — the state the verdict being extended was accepted
+                   on — then feed this append's delta like any other. *)
+                let prefix =
+                  match t.summary with Some s -> s.s_serial | None -> []
+                in
+                let k = kernel_build cur.h cur.rel ~floor:fl ~prefix in
                 t.kernel <- Some k;
                 k
             in
@@ -848,7 +977,6 @@ let advance ~monitor t h =
             cert;
             prov = None;
           }
-          end
       in
       decide cur0
   in
@@ -911,17 +1039,6 @@ let advance ~monitor t h =
          (if monitor then "engine.append" else "engine.analyze"));
   frame.verdict
 
-(* The auto-truncation watermark, checked before each monitored append:
-   once the certified window holds [eff_window] or more nodes, fold it.
-   Only an accepted frame folds (a rejection's witness needs the dense
-   state), and only sessions created with [?window]. *)
-let maybe_truncate t =
-  match (t.window, t.cur) with
-  | Some _, Some { verdict = Accepted _; h = hh; _ }
-    when History.n_nodes hh - t.floor >= t.eff_window ->
-    truncate t
-  | _ -> ()
-
 let extend t h =
   maybe_truncate t;
   advance ~monitor:true t h
@@ -932,7 +1049,7 @@ let frame_exn t name =
   | None -> invalid_arg ("Engine." ^ name ^ ": session holds no history")
 
 let certificate t =
-  restore t;
+  restore t Forensic;
   let f = frame_exn t "certificate" in
   match f.cert with
   | Some c -> c
@@ -990,8 +1107,9 @@ let of_parts ?(obs = Sink.null) h rel certificate =
     summary = None;
     window = None;
     eff_window = max_int;
+    mark = 0;
     truncations = 0;
-    restores = 0;
+    by_cause = Array.make (List.length restore_causes) 0;
     appends = 0;
     fastpath_hits = 0;
     delta_hits = 0;
@@ -1030,7 +1148,7 @@ let relations t = Option.map (fun f -> f.rel) t.cur
 let obs_pairs t = match t.cur with None -> 0 | Some f -> f.n_obs
 
 let provenance t =
-  restore t;
+  restore t Forensic;
   let f = frame_exn t "provenance" in
   match f.prov with
   | Some p -> p
@@ -1125,7 +1243,10 @@ let introspect ?(deep = true) (t : t) =
         ("undo_available", Json.Bool (t.snapshot <> None));
         ("floor", Json.Int t.floor);
         ("truncations", Json.Int t.truncations);
-        ("restores", Json.Int t.restores);
+        ("restores", Json.Int (restores t));
+        ( "restores_by_cause",
+          Json.Obj
+            (List.map (fun (c, n) -> (c, Json.Int n)) (restores_by_cause t)) );
         ( "window",
           match t.window with None -> Json.Null | Some w -> Json.Int w );
       ]

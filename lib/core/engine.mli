@@ -53,12 +53,26 @@ type verdict =
 val create : ?obs:Repro_obs.Sink.t -> ?window:int -> unit -> t
 (** A session over the empty prefix (vacuously accepted).
 
-    [window] (default: none) arms auto-truncation: before each monitored
-    append, once the certified active window holds at least [window]
-    nodes, the session folds it with {!truncate}, so resident memory is
-    O(window) instead of O(prefix) on streaming-shaped appends.  The
-    effective watermark doubles (capped at 8x) each time an append forces
-    a {e restore} — see {!truncate} — so ill-shaped streams do not thrash.
+    [window] (default: none) arms auto-truncation.  Before each
+    monitored append of an accepted session, once the window — the nodes
+    above the floor, or after a restore the nodes that arrived since it —
+    holds [w] nodes ([w] is the effective watermark, initially [window]),
+    the session folds its prefix back to the largest {e legal} point at
+    or below [n - w/2] ([n] the node count), so at least [w/2] of the
+    newest nodes stay dense (see {!truncate} for legality).  When open
+    roots that keep taking operations rule out every such point, it folds
+    at the smallest legal point above [n - w/2], keeping what tail it can
+    — at worst none, [n] being always legal.  The retained tail keeps appends under the newest roots
+    decidable over the window.  Each {e breach restore} (an append that
+    reaches into the folded prefix or shifts a level, see {!truncate})
+    doubles [w], capped at [8 * window], so a stream that keeps reaching
+    back widens its own tail; forensic restores leave [w] alone.
+
+    Resident dense memory is O(window) from a fold to the next restore.
+    A restore re-materializes the whole prefix's dense state, and the
+    session keeps it until [w] more nodes have arrived, so from a restore
+    to the next fold it is O(prefix); for the same reason a stream
+    restores at most once per [w] new nodes.
     Raises [Invalid_argument] when [window <= 0].
 
     [obs] (default
@@ -142,38 +156,56 @@ val undo : t -> unit
     dense per-node state — closure pairs, conflict-memo planes
     ({!History.memo_release}), the dense mirror's bit matrices, the
     order kernel, the provenance index — so a monitored session's memory
-    is O(active window), not O(prefix).
+    is O(active window), not O(prefix), from a fold to the next restore.
+
+    A fold point [p] is {e legal} when no node at or above [p] has an
+    ancestor below it and no observed or input pair runs from a node at
+    or above [p] to one below it.  Then every edge between the folded
+    region and the window points into the window, so no cycle of any
+    front constraint graph, feasibility graph or cluster quotient can
+    cross the floor.  The fold keeps only the pairs with both endpoints
+    at or above [p].
 
     {b Invariants.}  The history handle and the carried verdict (with its
     full serial witness) survive the fold; verdicts after a fold equal
-    the untruncated session's (pinned by qcheck).  Appends the window
-    cannot decide exactly — a schedule-level shift, an operation appended
-    into an old transaction, a backward edge, or a derived observed pair
-    reaching {e into} the folded region — trigger an automatic {e
-    restore}: the dense state is recomputed from the (complete) history,
-    the floor drops to 0, and the append is re-decided exactly.  Restores
-    are counted and reported; forensic entry points ({!certificate},
-    {!provenance}, {!explain}) restore implicitly. *)
+    the untruncated session's (pinned by qcheck).  Later appends are
+    decided over the window — forward ones by the delta path, the rest
+    by the order kernel rebuilt over the window — as long as the window
+    stays closed under them.  An append that breaks that — an observed
+    or input pair landing in the folded prefix ([below_floor]), an
+    operation joining a folded transaction ([folded_tx]) or a schedule
+    level shift ([level_shift]) — triggers an automatic {e restore}: the
+    dense state is recomputed from the (complete) history, the floor
+    drops to 0, and the append is re-decided exactly.  The forensic entry
+    points ({!certificate}, {!provenance}, {!explain}) restore implicitly
+    ([forensic]).  Restores are counted per cause
+    ({!restores_by_cause}, the [engine.restores{cause=...}] counter). *)
 
 type summary = {
   s_nodes : int;  (** the fold point: every node below it is folded *)
   s_roots : int;  (** root transactions in the folded prefix *)
-  s_serial : id list;  (** the certified serial witness at the fold *)
+  s_serial : id list;
+      (** the folded roots in certified order: a prefix of every later
+          witness, since every root-level edge between a folded and a
+          retained root points to the retained one *)
   s_front_sizes : int array;
-      (** per-level computational-front cardinality at the fold *)
+      (** per-level computational-front cardinality of the folded
+          nodes *)
   s_boundary_obs : (id * id) list;
-      (** observed pairs crossing the {e previous} fold point — the seam
-          between the previously folded region and the window this fold
-          absorbed; empty on a session's first fold *)
+      (** observed pairs crossing the {e previous} fold point into the
+          nodes this fold absorbed — the seam between the previously
+          folded region and this fold; empty on a session's first fold *)
 }
 (** The compact record of a folded prefix, replaced on each fold. *)
 
 val truncate : t -> unit
-(** Fold the current certified prefix.  No-op on the empty session and at
-    an unchanged fold point ([truncate; truncate] ≡ [truncate]); raises
-    [Invalid_argument] when the current verdict is a rejection (its
-    witness lives in the dense state a fold would release).  Clears the
-    undo snapshot. *)
+(** Fold the whole current certified prefix: the fold point is the node
+    count, which is always legal.  (Auto-truncation, armed by [create
+    ?window], folds through the same code to a point that retains a
+    tail.)  No-op on the empty session and at an unchanged fold point
+    ([truncate; truncate] ≡ [truncate]); raises [Invalid_argument] when
+    the current verdict is a rejection (its witness lives in the dense
+    state a fold would release).  Clears the undo snapshot. *)
 
 val summary : t -> summary option
 (** The record of the most recent fold; [None] before any fold and after
@@ -261,6 +293,10 @@ val restores : t -> int
 (** Lifetime count of dense-state restores (window breaches and forensic
     demands against a truncated frame). *)
 
+val restores_by_cause : t -> (string * int) list
+(** {!restores} split by cause, in the fixed order [below_floor],
+    [folded_tx], [level_shift], [forensic] (see {!truncate}). *)
+
 val resident_estimate_words : t -> int
 (** O(1) counter-based estimate of the session's resident {e dense
     certification} state, in words: closure pairs, conflict-memo planes,
@@ -282,8 +318,8 @@ val introspect : ?deep:bool -> t -> Repro_obs.Json.t
     session was created.  On the empty session the [history] field is
     null and only the session/gc sections are reported.  The [session]
     section also carries the truncation state (floor, fold and restore
-    counts, configured window) and a [summary] field renders the current
-    {!summary}.
+    counts, restores by cause, configured window) and a [summary] field
+    renders the current {!summary}.
 
     [deep] (default [true]) walks the reachable heap with
     [Obj.reachable_words] — O(prefix), so callers poll it sparingly;

@@ -47,10 +47,11 @@ val create :
   unit ->
   t
 (** A monitor over the empty prefix (vacuously accepted).  [window]
-    (default unbounded) enables bounded-memory streaming: once the active
-    suffix reaches [window] nodes after an accepted append, the certified
-    prefix is folded into a compact summary and its dense per-node state
-    released — see {!Engine.truncate}.  Verdicts are unchanged (parity is
+    (default unbounded) enables bounded-memory streaming: once the window
+    holds [window] nodes after an accepted append, the certified prefix
+    is folded into a compact summary behind a dense tail of the newest
+    nodes and its dense per-node state released — see {!Engine.create}
+    (which also says when the bound lapses) and {!Engine.truncate}.  Verdicts are unchanged (parity is
     pinned by [test/test_truncate.ml]); {!undo} across the fold boundary
     is refused.  Raises [Invalid_argument] when [window <= 0].  [metrics]
     (default null) receives counters [monitor.appends],

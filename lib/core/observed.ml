@@ -265,8 +265,11 @@ let inc_floor inc = inc.floor
 
 (* Move the mirror's floor.  Raising it (truncation) also gives the
    matrices' backing arrays back — the whole point of the fold is that the
-   dense O(prefix²) bits stop being resident; lowering it to 0 (restore)
-   just invalidates, since the next sync will need the full size again. *)
+   dense O(prefix²) bits stop being resident — and the next sync rebuilds
+   them over the retained window alone (a fold may keep a tail of the
+   nodes it had, so that rebuild is not empty); lowering it to 0
+   (restore) just invalidates, since the next sync will need the full
+   size again. *)
 let inc_rebase inc ~floor =
   if floor < 0 then invalid_arg "Observed.inc_rebase: negative floor";
   inc.floor <- floor;
@@ -276,6 +279,18 @@ let inc_rebase inc ~floor =
     Bitrel.shrink inc.inv_a ~rows:0 ~cols:0;
     if Array.length inc.q > 512 then inc.q <- Array.make 512 0
   end
+
+(* What a fold at [floor] keeps: pairs with both endpoints at or above
+   it.  Boundary pairs (folded source) are dropped too — keeping them
+   would make the retained relation O(prefix x window), and no windowed
+   verdict reads them (see [saturate_dense]). *)
+let window rel ~floor =
+  let keep v = v >= floor in
+  {
+    obs = Rel.restrict ~keep rel.obs;
+    inp = Rel.restrict ~keep rel.inp;
+    inp_strong = Rel.restrict ~keep rel.inp_strong;
+  }
 
 let inc_resident_words inc =
   Bitrel.resident_words inc.obs_a + Bitrel.resident_words inc.inv_a
@@ -335,9 +350,12 @@ let inc_push inc a b =
      of the window endpoint only and climbed as usual.  The predecessor
      joins through the folded region are skipped — they can only produce
      further boundary pairs (a folded node's predecessors are folded,
-     because no window-to-folded pair exists short of a breach), and
-     boundary pairs are never consulted by the forward/delta machinery
-     that decides windowed verdicts;
+     because no window-to-folded pair exists short of a breach: the
+     engine folds only at points no pair crosses backwards), and
+     boundary pairs are never consulted by the machinery that decides
+     windowed verdicts — a folded node is a source in every constraint
+     graph, so it lies on no cycle.  A fold drops them ({!window}); one
+     re-derived later simply counts as new again;
    - pairs targeting the folded region: {!Below_floor}.  Such a pair
      would have to be joined against the folded closure to stay exact,
      so the caller must restore the dense state and recompute. *)

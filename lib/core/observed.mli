@@ -99,13 +99,22 @@ val inc_rebase : inc -> floor:int -> unit
 (** Move the mirror's floor (frontier truncation): nodes below [floor]
     are folded, the matrices index by [id - floor] and mirror only pairs
     with both endpoints at or above it, and raising the floor releases
-    their backing arrays.  Implies {!inc_invalidate}.  Pairs from a
+    their backing arrays; the next {!extend} rebuilds them from the
+    retained window's pairs (the {!window} of its [prev]).  Implies
+    {!inc_invalidate}.  Pairs from a
     folded source into the window ("boundary pairs") are kept in the
     persistent relation only and joined against window successors on the
     fly; pairs targeting the folded region raise {!Below_floor} during
     {!extend}.  [~floor:0] restores the untruncated regime (the next
     sync rebuilds full-size).  Raises [Invalid_argument] on a negative
     floor. *)
+
+val window : relations -> floor:int -> relations
+(** The relations restricted to pairs with both endpoints at or above
+    [floor]: what a frontier fold at [floor] keeps.  Pairs from a folded
+    source into the window are dropped as well; windowed verdicts never
+    read them, and keeping them would make the retained relation
+    O(prefix x window). *)
 
 val inc_floor : inc -> int
 

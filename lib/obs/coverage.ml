@@ -23,6 +23,15 @@ let points : (string * string * (string * string) list) list =
     (* Bounded-memory streaming decisions. *)
     ("engine.truncations", "engine.truncations", []);
     ("engine.restores", "engine.restores", []);
+    (* Why each restore happened (the point above sums every cause). *)
+    ( "engine.restore.below_floor",
+      "engine.restores",
+      [ ("cause", "below_floor") ] );
+    ("engine.restore.folded_tx", "engine.restores", [ ("cause", "folded_tx") ]);
+    ( "engine.restore.level_shift",
+      "engine.restores",
+      [ ("cause", "level_shift") ] );
+    ("engine.restore.forensic", "engine.restores", [ ("cause", "forensic") ]);
     (* Level-by-level reduction decisions. *)
     ("reduction.checks", "compc.checks", []);
     ("reduction.steps", "compc.steps", []);

@@ -628,6 +628,10 @@ let golden_coverage_keys =
     "engine.appends";
     "engine.truncations";
     "engine.restores";
+    "engine.restore.below_floor";
+    "engine.restore.folded_tx";
+    "engine.restore.level_shift";
+    "engine.restore.forensic";
     "reduction.checks";
     "reduction.steps";
     "reduction.accept";
