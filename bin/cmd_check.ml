@@ -14,20 +14,14 @@
    interleaving was. *)
 open Repro_model
 
-(* --stats: the per-level reduction profile, printed from the events and
+(* --stats: the per-level reduction profile, printed from the spans and
    metrics the session's own analysis recorded — not a re-run. *)
-let print_stats ppf trace metrics =
-  let module Trace = Repro_obs.Trace in
+let print_stats ppf spans metrics =
+  let module Span = Repro_obs.Span in
   let module Metrics = Repro_obs.Metrics in
-  let module Json = Repro_obs.Json in
-  let arg_int e k =
-    match List.assoc_opt k e.Trace.args with Some (Json.Int i) -> Some i | _ -> None
-  in
-  let arg_str e k =
-    match List.assoc_opt k e.Trace.args with
-    | Some (Json.String s) -> Some s
-    | _ -> None
-  in
+  let label (v : Span.view) k = Repro_obs.Labels.find k v.Span.v_labels in
+  let count v k = Option.value ~default:"-" (label v k) in
+  let int v k = Option.fold ~none:0 ~some:int_of_string (label v k) in
   let gauge name =
     match Metrics.gauge_value metrics name with
     | Some v -> int_of_float v
@@ -42,24 +36,19 @@ let print_stats ppf trace metrics =
       (gauge "compc.obs_rounds") (s.Metrics.sum *. 1e3)
   | None -> ());
   List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.name with
-      | "front_init" ->
-        Fmt.pf ppf "level-0 front: %d members@."
-          (Option.value ~default:0 (arg_int e "members"))
+    (fun (v : Span.view) ->
+      match v.Span.v_name with
+      | "front_init" -> Fmt.pf ppf "level-0 front: %d members@." (int v "members")
       | "reduction_step" ->
-        let level = Option.value ~default:0 (arg_int e "level") in
-        let prev = Option.value ~default:0 (arg_int e "prev_front") in
-        let outcome = Option.value ~default:"?" (arg_str e "outcome") in
-        Fmt.pf ppf "step %d: %d -> %s members, %s clusters, %.3f ms [%s]@." level
-          prev
-          (match arg_int e "front" with Some n -> string_of_int n | None -> "-")
-          (match arg_int e "clusters" with Some n -> string_of_int n | None -> "-")
-          (e.Trace.dur /. 1e3) outcome
+        Fmt.pf ppf "step %d: %d -> %s members, %s clusters, %.3f ms [%s]@."
+          (int v "level") (int v "prev_front") (count v "front")
+          (count v "clusters")
+          ((v.Span.v_t1 -. v.Span.v_t0) *. 1e3)
+          (Option.value ~default:"?" (label v "outcome"))
       | "failure" ->
-        Fmt.pf ppf "failure: %s@." (Option.value ~default:"?" (arg_str e "kind"))
+        Fmt.pf ppf "failure: %s@." (Option.value ~default:"?" (label v "kind"))
       | _ -> ())
-    (Trace.events trace);
+    (Span.spans spans);
   match Metrics.summary metrics "compc.check_wall_s" with
   | Some s ->
     Fmt.pf ppf "total: %.3f ms, verdict %s@." (s.Metrics.sum *. 1e3)
@@ -94,9 +83,8 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
      stdout is exactly one JSON document / DOT graph, pipeable as is. *)
   let hpf = if format = `Text then ppf else eppf in
   Cli_common.with_history ~ppf ~eppf ~brief ~skip_validation path @@ fun h ->
-  let trace =
-    if stats then Repro_obs.Trace.create () else Repro_obs.Trace.null
-  in
+  (* A local collector exactly when --stats reads the profile back. *)
+  let spans = if stats then Repro_obs.Span.create () else Repro_obs.Span.null in
   (* The caller's registry/recorder (per-item private ones in batch mode)
      when enabled; else a local registry exactly when --stats must read
      one back. *)
@@ -109,7 +97,7 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
   let recorder = obs.Repro_obs.Sink.recorder in
   let session =
     Repro_core.Engine.of_history
-      ~obs:(Repro_obs.Sink.v ~trace ~metrics ~recorder ())
+      ~obs:(Repro_obs.Sink.v ~metrics ~recorder ~spans ())
       h
   in
   (match dot with
@@ -160,7 +148,7 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
         report;
     if explain then Cmd_explain.report ppf format shrink session;
     if stats then begin
-      print_stats hpf trace metrics;
+      print_stats hpf spans metrics;
       print_introspection hpf session;
       print_lint hpf h
     end;
@@ -181,7 +169,7 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
       if explain && name = "Comp-C" then
         Cmd_explain.report ppf format shrink session;
       if stats then begin
-        print_stats hpf trace metrics;
+        print_stats hpf spans metrics;
         print_introspection hpf session;
         print_lint hpf h
       end;

@@ -55,18 +55,15 @@ let snapshot_gauges metrics s =
 
 let introspect_every = 32
 
-(* Streaming mode (path "-"): certify appends as they arrive on stdin
-   instead of slurping the whole description first, so live streams can
-   be piped into the monitor (and into the compserve smoke tests).  A
-   flush point is the arrival of each new root declaration — chunked
-   streams are root-major, so each flush certifies exactly one more
-   root.  A prefix that does not yet parse, is not yet model-valid, or
-   adds no nodes simply defers to the next flush point; a printed
-   history whose order lines all trail the node declarations therefore
-   certifies once, at end of stream — the historical slurp behaviour. *)
-let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
-    ?(obs = Repro_obs.Sink.null) ?(progress = Cli_common.Progress.null)
-    ?window ~brief explain format shrink skip_validation () =
+(* The session and reporting both input modes share: engine and sink
+   set-up, the progress line, the per-step trail, the reject evidence and
+   the accept summary.  One certification step is a [unit] ("append" on
+   stdin, "prefix" on a file) and [total] the step count when it is known
+   up front.  Returns [step k h], which certifies step [k] (history [h])
+   and answers [Some code] on a reject, and [accept k h], which prints the
+   summary after [k] accepted steps. *)
+let session ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
+    ~path ~unit ~total =
   let explain = explain || shrink || format <> `Text in
   let hpf = if format = `Text then ppf else eppf in
   let metrics = obs.Repro_obs.Sink.metrics in
@@ -81,48 +78,109 @@ let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
       ~obs:(Repro_obs.Sink.v ~metrics ~recorder ~spans ())
       ?window ()
   in
-  let text = Buffer.create 4096 in
-  let nodes = ref 0 in
-  let appends = ref 0 in
+  let units k =
+    if k = 1 then unit else if unit = "prefix" then "prefixes" else unit ^ "s"
+  in
+  let at k =
+    match total with Some n -> Fmt.str "%d/%d" k n | None -> string_of_int k
+  in
   let t0 = Repro_obs.Clock.now_wall () in
-  let show_progress () =
+  let show_progress k =
     if Cli_common.Progress.enabled progress then begin
       let dt = Repro_obs.Clock.now_wall () -. t0 in
-      let rate = if dt > 0.0 then float_of_int !appends /. dt else 0.0 in
+      let rate = if dt > 0.0 then float_of_int k /. dt else 0.0 in
       let p99 =
         match Metrics.percentile metrics "monitor.append_wall_s" 0.99 with
         | Some v -> Fmt.str "  p99 append %.2fms" (v *. 1e3)
         | None -> ""
       in
       Cli_common.Progress.update progress
-        (Fmt.str "monitor -: append %d  %.0f appends/s%s" !appends rate p99)
+        (Fmt.str "monitor %s: %s %s  %.0f %s/s%s" path unit (at k) rate
+           (units 2) p99)
     end
   in
-  let reject_evidence f h =
+  let step k h =
+    match with_append_trace spans (fun () -> Repro_core.Engine.extend s h) with
+    | Repro_core.Engine.Accepted _ ->
+      if k mod introspect_every = 0 then snapshot_gauges metrics s;
+      show_progress k;
+      if not brief then Fmt.pf hpf "%s %s: accept@." unit (at k);
+      None
+    | Repro_core.Engine.Rejected f ->
+      snapshot_gauges metrics s;
+      Cli_common.Progress.finish progress;
+      let rel = Repro_core.Engine.relations s in
+      if brief then Fmt.pf ppf "%s: monitor: reject at %s %s@." path unit (at k)
+      else begin
+        Fmt.pf hpf "%s %s: reject@." unit (at k);
+        Fmt.pf hpf "first violating %s: %d; %a@." unit k
+          (Repro_core.Reduction.pp_failure ?rel h)
+          f
+      end;
+      if explain then begin
+        (* The violation's operational context rides along with the
+           forensic evidence: where in the stream it happened, the
+           flight-recorder tail leading up to it, and the engine's state
+           snapshot at the moment of rejection. *)
+        let extra =
+          [
+            ( "prefix",
+              Json.Obj
+                [
+                  ("index", Json.Int k);
+                  ("of", Json.Int (Option.value total ~default:k));
+                ] );
+            ("flight_recorder", Repro_obs.Recorder.to_json recorder);
+            ("engine", Repro_core.Engine.introspect s);
+          ]
+        in
+        Cmd_explain.report ~extra ppf format shrink s
+      end;
+      Some 1
+  in
+  let accept k h =
     snapshot_gauges metrics s;
     Cli_common.Progress.finish progress;
-    let rel = Repro_core.Engine.relations s in
-    if brief then Fmt.pf ppf "-: monitor: reject at append %d@." !appends
-    else begin
-      Fmt.pf hpf "append %d: reject@." !appends;
-      Fmt.pf hpf "first violating append: %d; %a@." !appends
-        (Repro_core.Reduction.pp_failure ?rel h)
-        f
-    end;
+    let fast = (Repro_core.Engine.stats s).Repro_core.Engine.fastpath_hits in
+    if brief then Fmt.pf ppf "%s: monitor: accept (%d %s)@." path k (units k)
+    else
+      Fmt.pf hpf
+        "monitor: accept - %s Comp-C (%d reductions skipped on the fast \
+         path)@."
+        (match total with
+        | Some n -> Fmt.str "all %d %s" n (units 2)
+        | None -> Fmt.str "%d stream %s" k (units k))
+        fast;
     if explain then begin
-      let extra =
-        [
-          ( "prefix",
-            Json.Obj [ ("index", Json.Int !appends); ("of", Json.Int !appends) ]
-          );
-          ("flight_recorder", Repro_obs.Recorder.to_json recorder);
-          ("engine", Repro_core.Engine.introspect s);
-        ]
-      in
-      Cmd_explain.report ~extra ppf format shrink s
+      (* A history that never entered the session (rootless, or all
+         deferred) is analyzed now so the report has a frame to read. *)
+      if Repro_core.Engine.history s = None then
+        ignore (Repro_core.Engine.extend s h);
+      Cmd_explain.report ppf format shrink s
     end;
-    1
+    0
   in
+  (step, accept)
+
+(* Streaming mode (path "-"): certify appends as they arrive on stdin
+   instead of slurping the whole description first, so live streams can
+   be piped into the monitor (and into the compserve smoke tests).  A
+   flush point is the arrival of each new root declaration — chunked
+   streams are root-major, so each flush certifies exactly one more
+   root.  A prefix that does not yet parse, is not yet model-valid, or
+   adds no nodes simply defers to the next flush point; a printed
+   history whose order lines all trail the node declarations therefore
+   certifies once, at end of stream — the historical slurp behaviour. *)
+let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
+    ?(obs = Repro_obs.Sink.null) ?(progress = Cli_common.Progress.null)
+    ?window ~brief explain format shrink skip_validation () =
+  let step, accept =
+    session ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
+      ~path:"-" ~unit:"append" ~total:None
+  in
+  let text = Buffer.create 4096 in
+  let nodes = ref 0 in
+  let appends = ref 0 in
   (* One certification attempt over the accumulated text.  [`Deferred]
      folds three mid-stream states — unparseable yet, model-invalid yet,
      no new nodes — that all mean "wait for more input". *)
@@ -138,13 +196,7 @@ let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
       else begin
         nodes := History.n_nodes h;
         incr appends;
-        match with_append_trace spans (fun () -> Repro_core.Engine.extend s h) with
-        | Repro_core.Engine.Accepted _ ->
-          if !appends mod introspect_every = 0 then snapshot_gauges metrics s;
-          show_progress ();
-          if not brief then Fmt.pf hpf "append %d: accept@." !appends;
-          `Ok
-        | Repro_core.Engine.Rejected f -> `Reject (reject_evidence f h)
+        match step !appends h with Some c -> `Reject c | None -> `Ok
       end
   in
   let is_root_line line =
@@ -202,28 +254,7 @@ let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
       else begin
         match (if History.n_nodes h > !nodes then try_append () else `Ok) with
         | `Reject c -> c
-        | `Ok | `Deferred ->
-          snapshot_gauges metrics s;
-          Cli_common.Progress.finish progress;
-          let fast =
-            (Repro_core.Engine.stats s).Repro_core.Engine.fastpath_hits
-          in
-          if brief then
-            Fmt.pf ppf "-: monitor: accept (%d append%s)@." !appends
-              (if !appends = 1 then "" else "s")
-          else
-            Fmt.pf hpf
-              "monitor: accept - %d stream append%s Comp-C (%d reductions \
-               skipped on the fast path)@."
-              !appends
-              (if !appends = 1 then "" else "s")
-              fast;
-          if explain then begin
-            if Repro_core.Engine.history s = None then
-              ignore (Repro_core.Engine.extend s h);
-            Cmd_explain.report ppf format shrink s
-          end;
-          0
+        | `Ok | `Deferred -> accept !appends h
       end
   in
   pump ()
@@ -235,95 +266,17 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
     run_stream ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
       skip_validation ()
   else
-  let explain = explain || shrink || format <> `Text in
-  let hpf = if format = `Text then ppf else eppf in
   Cli_common.with_history ~ppf ~eppf ~brief ~skip_validation path @@ fun h ->
-  let metrics = obs.Repro_obs.Sink.metrics in
-  let recorder =
-    if Repro_obs.Recorder.enabled obs.Repro_obs.Sink.recorder then
-      obs.Repro_obs.Sink.recorder
-    else Repro_obs.Recorder.create ()
-  in
   let n = List.length (History.roots h) in
-  let spans = obs.Repro_obs.Sink.spans in
-  let s =
-    Repro_core.Engine.create
-      ~obs:(Repro_obs.Sink.v ~metrics ~recorder ~spans ())
-      ?window ()
-  in
-  let t0 = Repro_obs.Clock.now_wall () in
-  let show_progress k =
-    if Cli_common.Progress.enabled progress then begin
-      let dt = Repro_obs.Clock.now_wall () -. t0 in
-      let rate = if dt > 0.0 then float_of_int k /. dt else 0.0 in
-      let p99 =
-        match Metrics.percentile metrics "monitor.append_wall_s" 0.99 with
-        | Some v -> Fmt.str "  p99 append %.2fms" (v *. 1e3)
-        | None -> ""
-      in
-      Cli_common.Progress.update progress
-        (Fmt.str "monitor %s: prefix %d/%d  %.0f prefixes/s%s" path k n rate
-           p99)
-    end
+  let step, accept =
+    session ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
+      ~path ~unit:"prefix" ~total:(Some n)
   in
   let rec go k =
-    if k > n then begin
-      snapshot_gauges metrics s;
-      Cli_common.Progress.finish progress;
-      let fast = (Repro_core.Engine.stats s).Repro_core.Engine.fastpath_hits in
-      if brief then
-        Fmt.pf ppf "%s: monitor: accept (%d prefix%s)@." path n
-          (if n = 1 then "" else "es")
-      else
-        Fmt.pf hpf
-          "monitor: accept - all %d prefixes Comp-C (%d reductions skipped \
-           on the fast path)@."
-          n fast;
-      if explain then begin
-        (* A rootless history never entered the session; analyze it now so
-           the report has a frame to read. *)
-        if Repro_core.Engine.history s = None then
-          ignore (Repro_core.Engine.extend s h);
-        Cmd_explain.report ppf format shrink s
-      end;
-      0
-    end
-    else begin
-      let p = History.prefix_by_roots h k in
-      match with_append_trace spans (fun () -> Repro_core.Engine.extend s p) with
-      | Repro_core.Engine.Accepted _ ->
-        if k mod introspect_every = 0 then snapshot_gauges metrics s;
-        show_progress k;
-        if not brief then Fmt.pf hpf "prefix %d/%d: accept@." k n;
-        go (k + 1)
-      | Repro_core.Engine.Rejected f ->
-        snapshot_gauges metrics s;
-        Cli_common.Progress.finish progress;
-        let rel = Repro_core.Engine.relations s in
-        if brief then
-          Fmt.pf ppf "%s: monitor: reject at prefix %d/%d@." path k n
-        else begin
-          Fmt.pf hpf "prefix %d/%d: reject@." k n;
-          Fmt.pf hpf "first violating prefix: %d; %a@." k
-            (Repro_core.Reduction.pp_failure ?rel p)
-            f
-        end;
-        if explain then begin
-          (* The violation's operational context rides along with the
-             forensic evidence: where in the stream it happened, the
-             flight-recorder tail leading up to it, and the engine's
-             state snapshot at the moment of rejection. *)
-          let extra =
-            [
-              ( "prefix",
-                Json.Obj [ ("index", Json.Int k); ("of", Json.Int n) ] );
-              ("flight_recorder", Repro_obs.Recorder.to_json recorder);
-              ("engine", Repro_core.Engine.introspect s);
-            ]
-          in
-          Cmd_explain.report ~extra ppf format shrink s
-        end;
-        1
-    end
+    if k > n then accept n h
+    else
+      match step k (History.prefix_by_roots h k) with
+      | Some code -> code
+      | None -> go (k + 1)
   in
   go 1

@@ -21,7 +21,6 @@
 module Server = Repro_runtime.Server
 module Wire = Repro_runtime.Server.Wire
 module Span = Repro_obs.Span
-module Trace = Repro_obs.Trace
 module Clock = Repro_obs.Clock
 module Json = Repro_obs.Json
 
@@ -177,10 +176,8 @@ let serve path shards window span_rate slow_ms trace_out spans_out =
     (match trace_out with
     | None -> ()
     | Some file ->
-      let tr = Trace.create () in
-      Trace.set_process_name tr ~pid:0 "compserve";
-      Span.export spans tr;
-      Cli_common.write_json ~tool:"compserve" file (Trace.to_json tr);
+      Cli_common.write_json ~tool:"compserve" file
+        (Span.to_chrome ~process:"compserve" spans);
       Fmt.epr "compserve: wrote Chrome trace (%d spans) to %s@."
         (Span.length spans) file);
     match spans_out with
@@ -348,10 +345,8 @@ let drive path window files trace_out =
   (match trace_out with
   | None -> ()
   | Some file ->
-    let tr = Trace.create () in
-    Trace.set_process_name tr ~pid:0 "compserve-drive";
-    Span.export spans tr;
-    Cli_common.write_json ~tool:"compserve" file (Trace.to_json tr);
+    Cli_common.write_json ~tool:"compserve" file
+      (Span.to_chrome ~process:"compserve-drive" spans);
     Fmt.epr "compserve: wrote Chrome trace (%d spans) to %s@."
       (Span.length spans) file);
   if List.exists (fun cs -> cs.rejected) streams then 1 else 0

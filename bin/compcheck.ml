@@ -114,10 +114,8 @@ let run paths criterion explain format shrink stats skip_validation dot jobs
     | None -> ());
     (match trace_out with
     | Some path ->
-      let tr = Repro_obs.Trace.create () in
-      Repro_obs.Trace.set_process_name tr ~pid:0 "compcheck";
-      Repro_obs.Span.export spans tr;
-      Cli_common.write_json ~tool:"compcheck" path (Repro_obs.Trace.to_json tr)
+      Cli_common.write_json ~tool:"compcheck" path
+        (Repro_obs.Span.to_chrome ~process:"compcheck" spans)
     | None -> ());
     code
   end

@@ -36,8 +36,8 @@ let run workload protocol_name clients txs seed check dump evidence_out
         backoff = 2.0;
       }
     in
-    let trace =
-      if trace_out = None then Repro_obs.Trace.null else Repro_obs.Trace.create ()
+    let spans =
+      if trace_out = None then Repro_obs.Span.null else Repro_obs.Span.create ()
     in
     let metrics =
       if metrics_out = None then Repro_obs.Metrics.null
@@ -48,7 +48,7 @@ let run workload protocol_name clients txs seed check dump evidence_out
       else Repro_obs.Recorder.create ()
     in
     let stats =
-      Sim.run ~trace ~metrics ~recorder params w.Workloads.topology
+      Sim.run ~spans ~metrics ~recorder params w.Workloads.topology
         ~gen:w.Workloads.gen
     in
     Fmt.pr "workload=%s protocol=%s clients=%d txs/client=%d seed=%d@." workload protocol_name
@@ -62,9 +62,9 @@ let run workload protocol_name clients txs seed check dump evidence_out
        else 0.0);
     (match trace_out with
     | Some path ->
-      write_json path (Repro_obs.Trace.to_json trace);
-      Fmt.pr "trace written to %s (%d events; open in Perfetto / chrome://tracing)@."
-        path (Repro_obs.Trace.length trace)
+      write_json path (Repro_obs.Span.to_chrome ~process:"compsim" spans);
+      Fmt.pr "trace written to %s (%d spans; open in Perfetto / chrome://tracing)@."
+        path (Repro_obs.Span.length spans)
     | None -> ());
     (match metrics_out with
     | Some path ->
@@ -148,9 +148,9 @@ let evidence_arg =
 let trace_arg =
   let doc =
     "Record every scheduler event (dispatches, lock waits and grants, \
-     aborts, backoffs, retries, commits, certification checks) and write a \
-     Chrome trace-event JSON file to $(docv) — load it in Perfetto or \
-     chrome://tracing."
+     aborts, backoffs, retries, commits, certification checks) as spans on \
+     simulated time, one track per client, and write a Chrome trace-event \
+     JSON file to $(docv) — load it in Perfetto or chrome://tracing."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 

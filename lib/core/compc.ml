@@ -10,9 +10,8 @@ type verdict = {
 (* One-shot facade over the engine: a fresh session, advanced once, its
    state exposed as the traditional verdict record.  [Engine.analyze]
    forces the certificate and emits the compc.* check metrics. *)
-let check ?(trace = Repro_obs.Trace.null) ?(metrics = Repro_obs.Metrics.null)
-    history =
-  let s = Engine.of_history ~obs:(Repro_obs.Sink.v ~trace ~metrics ()) history in
+let check ?(metrics = Repro_obs.Metrics.null) history =
+  let s = Engine.of_history ~obs:(Repro_obs.Sink.v ~metrics ()) history in
   {
     history;
     relations = Option.get (Engine.relations s);
@@ -21,7 +20,7 @@ let check ?(trace = Repro_obs.Trace.null) ?(metrics = Repro_obs.Metrics.null)
 
 let is_correct_verdict v = Reduction.is_correct v.certificate
 
-let is_correct ?trace ?metrics h = is_correct_verdict (check ?trace ?metrics h)
+let is_correct ?metrics h = is_correct_verdict (check ?metrics h)
 
 let serial_order v =
   match v.certificate.Reduction.outcome with

@@ -22,16 +22,16 @@ type verdict = {
   certificate : Reduction.certificate;
 }
 
-val check :
-  ?trace:Repro_obs.Trace.t -> ?metrics:Repro_obs.Metrics.t -> History.t -> verdict
-(** Decide Comp-C for the history.  [trace] and [metrics] (defaulting to
-    the disabled null instances) are threaded through
-    {!Observed.compute} and {!Reduction.reduce} — see those for the event
-    and metric vocabulary; {!check} itself adds the counter [compc.checks]
-    and the end-to-end wall-time histogram [compc.check_wall_s]. *)
+val check : ?metrics:Repro_obs.Metrics.t -> History.t -> verdict
+(** Decide Comp-C for the history.  [metrics] (default
+    {!Repro_obs.Metrics.null}) is threaded through {!Observed.compute} and
+    {!Reduction.reduce} — see those for the metric vocabulary; {!check}
+    itself adds the counter [compc.checks] and the end-to-end wall-time
+    histogram [compc.check_wall_s].  For the reduction's span profile,
+    analyze through {!Engine.of_history} with a sink carrying a span
+    collector. *)
 
-val is_correct :
-  ?trace:Repro_obs.Trace.t -> ?metrics:Repro_obs.Metrics.t -> History.t -> bool
+val is_correct : ?metrics:Repro_obs.Metrics.t -> History.t -> bool
 (** [is_correct h] is [Reduction.is_correct (check h).certificate]. *)
 
 val is_correct_verdict : verdict -> bool

@@ -787,6 +787,9 @@ let advance ~monitor t h =
      shard, monitor CLI) sets the collector's ambient context around the
      call, and the head-sampling decision rides the context's trace id. *)
   let tracing = Span.sampled spans (Span.ctx_trace spans) in
+  (* The reduction profile belongs to a batch analysis; a monitor append
+     records only its own span. *)
+  let profile = if monitor then Span.null else spans in
   let t0 =
     if enabled || recording || tracing then Clock.now_wall () else 0.0
   in
@@ -798,9 +801,7 @@ let advance ~monitor t h =
     | None ->
       path := "initial";
       let rel = Observed.compute ~metrics h in
-      let certificate =
-        Reduction.reduce ~rel ~trace:t.obs.Sink.trace ~metrics h
-      in
+      let certificate = Reduction.reduce ~rel ~spans:profile ~metrics h in
       {
         h;
         rel;
@@ -958,9 +959,7 @@ let advance ~monitor t h =
             else begin
               path := "full";
               t.kernel <- None;
-              let c =
-                Reduction.reduce ~rel ~trace:t.obs.Sink.trace ~metrics h
-              in
+              let c = Reduction.reduce ~rel ~spans:profile ~metrics h in
               (verdict_of_certificate c, Some c)
             end
           in
@@ -1048,7 +1047,10 @@ let frame_exn t name =
   | Some f -> f
   | None -> invalid_arg ("Engine." ^ name ^ ": session holds no history")
 
-let certificate t =
+(* [spans] receives the reduction profile when the certificate has to be
+   derived: the collector for the one an [analyze] forces, none for a
+   forensic request. *)
+let certify ~spans t =
   restore t Forensic;
   let f = frame_exn t "certificate" in
   match f.cert with
@@ -1058,12 +1060,11 @@ let certificate t =
        re-derive one over the warm relations (no closure recompute).  The
        witness may differ in inessentials from the carried verdict's — see
        the monitor's verdict-equivalence note — but the outcome agrees. *)
-    let c =
-      Reduction.reduce ~rel:f.rel ~trace:t.obs.Sink.trace
-        ~metrics:t.obs.Sink.metrics f.h
-    in
+    let c = Reduction.reduce ~rel:f.rel ~spans ~metrics:t.obs.Sink.metrics f.h in
     f.cert <- Some c;
     c
+
+let certificate t = certify ~spans:Span.null t
 
 let analyze t h =
   let metrics = t.obs.Sink.metrics in
@@ -1072,7 +1073,7 @@ let analyze t h =
   let t0c = if telemetry then Clock.now_cpu () else 0.0 in
   let v = advance ~monitor:false t h in
   (* Batch semantics: the certificate is part of the answer. *)
-  ignore (certificate t);
+  ignore (certify ~spans:t.obs.Sink.spans t);
   if telemetry then begin
     Metrics.incr metrics "compc.checks";
     Metrics.observe metrics "compc.check_wall_s" (Clock.now_wall () -. t0w);

@@ -17,9 +17,9 @@
       which prove the verdict without a transcript — derived lazily over
       the warm relations;
     - the provenance index, built on first {!explain};
-    - a single {!Repro_obs.Sink.t} carrying the event trace and metrics
-      registry, replacing the scattered [?trace]/[?metrics] optional pairs
-      of the pre-engine layers.
+    - a single {!Repro_obs.Sink.t} carrying the metrics registry, flight
+      recorder and span collector, replacing the scattered optional
+      telemetry arguments of the pre-engine layers.
 
     A session that services {!analyze}, then {!explain}, then a
     monitor-style {!extend} performs exactly one closure computation and
@@ -80,8 +80,13 @@ val create : ?obs:Repro_obs.Sink.t -> ?window:int -> unit -> t
     checker metrics of the underlying {!Observed}/{!Reduction} calls plus
     [compc.checks]/[compc.check_wall_s]/[compc.check_cpu_s] per {!analyze}
     and [monitor.appends], [monitor.fastpath_hits], [monitor.delta_hits]
-    [monitor.kernel_hits] and [monitor.append_wall_s] per {!extend}; its
-    trace receives the reduction spans.
+    [monitor.kernel_hits] and [monitor.append_wall_s] per {!extend}.  Its
+    span collector receives the [compc] reduction profile
+    ({!Reduction.reduce}) of the reduction an {!analyze} runs or forces,
+    never of a monitor {!extend} or a forensic {!certificate} or
+    {!explain}; inside a request (an ambient trace set on the collector)
+    each advance also records an [engine.append] or [engine.analyze]
+    span.
 
     {!extend} additionally reports the labeled series
     [monitor.append{path="initial|fast|delta|kernel|full"}] and

@@ -128,9 +128,10 @@ let pp_failure ?rel h ppf f =
       "at step %d the intra-transaction order of %a contradicts the observed order: cycle %a"
       level pn tx pp_cycle cycle
 
-module Trace = Repro_obs.Trace
 module Metrics = Repro_obs.Metrics
-module Json = Repro_obs.Json
+module Span = Repro_obs.Span
+module Labels = Repro_obs.Labels
+module Clock = Repro_obs.Clock
 
 (* One reduction step: isolate every level-[lvl] transaction inside the
    previous front [prev] and produce the level-[lvl] front.  On success
@@ -258,33 +259,49 @@ let failure_kind = function
   | No_calculation _ -> "no_calculation"
   | Intra_contradiction _ -> "intra_contradiction"
 
-let reduce ?rel ?(trace = Trace.null) ?(metrics = Metrics.null) h =
+let reduce ?rel ?(spans = Span.null) ?(metrics = Metrics.null) h =
   let rel = match rel with Some r -> r | None -> Observed.compute ~metrics h in
   let initial = Front.initial h rel in
   let order = History.order h in
-  let telemetry = Trace.enabled trace || Metrics.enabled metrics in
+  (* The profile joins the request the caller is executing, if any, and
+     is otherwise a trace of its own. *)
+  let trace, parent =
+    if not (Span.enabled spans) then (0, 0)
+    else if Span.ctx_trace spans <> 0 then
+      (Span.ctx_trace spans, Span.ctx_parent spans)
+    else (Span.fresh_trace spans, 0)
+  in
+  let tracing = Span.sampled spans trace in
+  let telemetry = tracing || Metrics.enabled metrics in
+  let span ~t0 ~t1 name labels =
+    ignore
+      (Span.emit spans ~parent ~cat:"compc" ~labels:(Labels.v labels) ~trace
+         ~t0 ~t1 name)
+  in
+  let instant name labels =
+    let now = Clock.now_wall () in
+    span ~t0:now ~t1:now name labels
+  in
   let record_step ~t0 ~level ~prev_size (step : step option) ~clusters outcome =
     if telemetry then begin
-      let wall = Repro_obs.Clock.now_wall () -. t0 in
+      let t1 = Clock.now_wall () in
       Metrics.incr metrics "compc.steps";
-      Metrics.observe metrics "compc.step_wall_s" wall;
-      if Trace.enabled trace then
-        Trace.complete trace ~cat:"compc" ~ts:(Trace.now_us () -. (wall *. 1e6))
-          ~dur:(wall *. 1e6)
-          ~args:
-            ([
-               ("level", Json.Int level);
-               ("prev_front", Json.Int prev_size);
-               ("outcome", Json.String outcome);
-             ]
-            @ (match step with
-              | Some s ->
-                [ ("front", Json.Int (Int_set.cardinal s.front.Front.members)) ]
-              | None -> [])
-            @ match clusters with
-              | Some n -> [ ("clusters", Json.Int n) ]
-              | None -> [])
-          "reduction_step"
+      Metrics.observe metrics "compc.step_wall_s" (t1 -. t0);
+      if tracing then
+        span ~t0 ~t1 "reduction_step"
+          ([
+             ("level", string_of_int level);
+             ("prev_front", string_of_int prev_size);
+             ("outcome", outcome);
+           ]
+          @ (match step with
+            | Some s ->
+              [ ("front", string_of_int (Int_set.cardinal s.front.Front.members)) ]
+            | None -> [])
+          @
+          match clusters with
+          | Some n -> [ ("clusters", string_of_int n) ]
+          | None -> [])
     end
   in
   let finish outcome =
@@ -293,10 +310,7 @@ let reduce ?rel ?(trace = Trace.null) ?(metrics = Metrics.null) h =
     | Error f ->
       Metrics.incr metrics "compc.reject";
       Metrics.incr metrics ("compc.failure." ^ failure_kind f);
-      if Trace.enabled trace then
-        Trace.instant trace ~cat:"compc" ~ts:(Trace.now_us ())
-          ~args:[ ("kind", Json.String (failure_kind f)) ]
-          "failure");
+      if tracing then instant "failure" [ ("kind", failure_kind f) ]);
     outcome
   in
   let check_cc (front : Front.t) =
@@ -304,14 +318,12 @@ let reduce ?rel ?(trace = Trace.null) ?(metrics = Metrics.null) h =
     | Some cycle -> Some (Front_not_cc { index = front.Front.index; cycle })
     | None -> None
   in
-  if Trace.enabled trace then
-    Trace.instant trace ~cat:"compc" ~ts:(Trace.now_us ())
-      ~args:
-        [
-          ("members", Json.Int (Int_set.cardinal initial.Front.members));
-          ("order", Json.Int order);
-        ]
-      "front_init";
+  if tracing then
+    instant "front_init"
+      [
+        ("members", string_of_int (Int_set.cardinal initial.Front.members));
+        ("order", string_of_int order);
+      ];
   match check_cc initial with
   | Some f -> { initial; steps = []; outcome = finish (Error f) }
   | None ->
@@ -326,7 +338,7 @@ let reduce ?rel ?(trace = Trace.null) ?(metrics = Metrics.null) h =
         | None -> assert false (* final front passed its CC check *)
       end
       else begin
-        let t0 = if telemetry then Repro_obs.Clock.now_wall () else 0.0 in
+        let t0 = if telemetry then Clock.now_wall () else 0.0 in
         let prev_size = Int_set.cardinal prev.Front.members in
         match reduce_step h rel lvl prev with
         | Error f ->

@@ -53,18 +53,21 @@ type certificate = {
 
 val reduce :
   ?rel:Observed.relations ->
-  ?trace:Repro_obs.Trace.t ->
+  ?spans:Repro_obs.Span.t ->
   ?metrics:Repro_obs.Metrics.t ->
   History.t ->
   certificate
 (** Run the full reduction.  [rel] may be supplied to reuse a previously
     computed observed order.
 
-    [trace] (default {!Repro_obs.Trace.null}) receives wall-clock-timed
-    events in category [compc]: one [front_init] instant, one
-    [reduction_step] span per level (args: [level], [prev_front] and
-    [front] member counts, [clusters] in the contracted graph, [outcome])
-    and a [failure] instant with the failure classification on rejection.
+    [spans] (default {!Repro_obs.Span.null}) receives the level-by-level
+    profile as wall-clock spans in category [compc]: a zero-length
+    [front_init] (labels [members], [order]), one [reduction_step] per
+    attempted level (labels [level], [prev_front] and [front] member
+    counts, [clusters] in the contracted graph, [outcome]) and, on
+    rejection, a zero-length [failure] (label [kind]).  They join the
+    collector's ambient trace, parented on its ambient span, when one is
+    set, and otherwise a fresh trace of their own per call.
     [metrics] receives counters [compc.steps], [compc.accept],
     [compc.reject] and [compc.failure.<kind>] ([front_not_cc],
     [no_calculation], [intra_contradiction]) plus the wall-time histogram

@@ -2,7 +2,7 @@
     events, recorded unconditionally on the engine's and simulator's hot
     paths and dumped when something goes wrong.
 
-    Unlike {!Trace} (unbounded, opt-in, for offline profiling), a recorder
+    Unlike {!Span} (unbounded, opt-in, for offline profiling), a recorder
     is sized for always-on production use: capacity is fixed at creation,
     the slots are preallocated, and recording a new event overwrites the
     oldest — memory is O(capacity) by construction, independent of stream

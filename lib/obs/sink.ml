@@ -1,22 +1,11 @@
-type t = {
-  trace : Trace.t;
-  metrics : Metrics.t;
-  recorder : Recorder.t;
-  spans : Span.t;
-}
+type t = { metrics : Metrics.t; recorder : Recorder.t; spans : Span.t }
 
-let null =
-  {
-    trace = Trace.null;
-    metrics = Metrics.null;
-    recorder = Recorder.null;
-    spans = Span.null;
-  }
+let null = { metrics = Metrics.null; recorder = Recorder.null; spans = Span.null }
 
-let v ?(trace = Trace.null) ?(metrics = Metrics.null)
-    ?(recorder = Recorder.null) ?(spans = Span.null) () =
-  { trace; metrics; recorder; spans }
+let v ?(metrics = Metrics.null) ?(recorder = Recorder.null) ?(spans = Span.null)
+    () =
+  { metrics; recorder; spans }
 
 let enabled t =
-  Trace.enabled t.trace || Metrics.enabled t.metrics
-  || Recorder.enabled t.recorder || Span.enabled t.spans
+  Metrics.enabled t.metrics || Recorder.enabled t.recorder
+  || Span.enabled t.spans

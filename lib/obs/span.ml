@@ -1,4 +1,5 @@
-(* Causal spans: the per-request "where did the time go" layer.
+(* Causal spans: the "where did the time go" layer, and the repository's
+   only tracing layer.
 
    A collector is single-writer by construction — the transport loop and
    each shard worker own one each — and collectors are combined after the
@@ -17,7 +18,7 @@ type span = {
   name : string;
   cat : string;
   labels : Labels.t;
-  t0 : float; (* Clock.now_wall seconds *)
+  t0 : float; (* seconds on the collector's clock *)
   mutable t1 : float; (* neg_infinity while the span is open *)
 }
 
@@ -209,25 +210,55 @@ let drain ~into src =
 
 let us s = s *. 1e6
 
-let export t trace_sink =
-  if Trace.enabled trace_sink then
-    List.iter
-      (fun (s : span) ->
-        let v = view_of s in
-        let args =
-          ("span", Json.String (Printf.sprintf "0x%x" v.v_id))
-          :: (if v.v_parent = 0 then []
-              else
-                [ ("parent", Json.String (Printf.sprintf "0x%x" v.v_parent)) ])
-          @ List.map
-              (fun (k, value) -> (k, Json.String value))
-              (Labels.to_list v.v_labels)
-        in
-        Trace.async_begin trace_sink ~cat:(if s.cat = "" then "span" else s.cat)
-          ~args ~id:v.v_trace ~ts:(us v.v_t0) s.name;
-        Trace.async_end trace_sink ~cat:(if s.cat = "" then "span" else s.cat)
-          ~id:v.v_trace ~ts:(us v.v_t1) s.name)
-      (List.rev t.rev_spans)
+let hex id = Json.String (Printf.sprintf "0x%x" id)
+
+let label_fields labels =
+  List.map (fun (k, value) -> (k, Json.String value)) (Labels.to_list labels)
+
+(* Chrome groups async events by (cat, id, name): with id = the trace id,
+   every span of one trace lands on one track, whichever domain recorded
+   it.  The id is rendered as a hex string, the viewer's convention. *)
+let chrome_pair (v : view) =
+  let event ph ts rest =
+    Json.Obj
+      ([
+         ("name", Json.String v.v_name);
+         ("cat", Json.String (if v.v_cat = "" then "span" else v.v_cat));
+         ("ph", Json.String ph);
+         ("ts", Json.Float (us ts));
+         ("pid", Json.Int 0);
+         ("tid", Json.Int 0);
+         ("id", hex v.v_trace);
+       ]
+      @ rest)
+  in
+  let args =
+    (("span", hex v.v_id)
+     :: (if v.v_parent = 0 then [] else [ ("parent", hex v.v_parent) ]))
+    @ label_fields v.v_labels
+  in
+  [ event "b" v.v_t0 [ ("args", Json.Obj args) ]; event "e" v.v_t1 [] ]
+
+let to_chrome ?process t =
+  let meta =
+    match process with
+    | None -> []
+    | Some name ->
+      [
+        Json.Obj
+          [
+            ("name", Json.String "process_name");
+            ("ph", Json.String "M");
+            ("pid", Json.Int 0);
+            ("args", Json.Obj [ ("name", Json.String name) ]);
+          ];
+      ]
+  in
+  Json.Obj
+    [
+      ("traceEvents", Json.List (meta @ List.concat_map chrome_pair (spans t)));
+      ("displayTimeUnit", Json.String "ms");
+    ]
 
 let span_json (v : view) =
   Json.Obj
@@ -244,14 +275,8 @@ let span_json (v : view) =
         ("dur_us", Json.Float (us (v.v_t1 -. v.v_t0)));
       ]
     @
-    match Labels.to_list v.v_labels with
-    | [] -> []
-    | pairs ->
-      [
-        ( "labels",
-          Json.Obj (List.map (fun (k, value) -> (k, Json.String value)) pairs)
-        );
-      ])
+    if Labels.is_empty v.v_labels then []
+    else [ ("labels", Json.Obj (label_fields v.v_labels)) ])
 
 let to_json t =
   Json.Obj

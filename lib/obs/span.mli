@@ -1,12 +1,17 @@
-(** Causal spans: per-request trace trees over the monotonic clock.
+(** Causal spans: the repository's one tracing layer.
 
-    A span is a named, labeled wall-clock interval belonging to a {e
-    trace} (one request) and linked to a parent span, so the spans of one
-    request form a tree: frame decode → shard queue wait → engine append →
+    A span is a named, labeled interval belonging to a {e trace} and
+    linked to a parent span, so the spans of one trace form a tree: for a
+    served request, frame decode → shard queue wait → engine append →
     verdict encode.  Spans complement the registry ({!Metrics}: what
     happens on average) and the flight recorder ({!Recorder}: what
     happened recently) with the third observability surface: where one
-    particular request's time went.
+    particular request's time went.  Instants are zero-length spans.
+
+    {b Clocks.}  Timestamps are caller-supplied seconds, one clock per
+    collector: request traces and the reduction profile use
+    {!Clock.now_wall}; the simulator uses simulated time (1 unit = 1 ms),
+    so its collector never receives a wall-clock span.
 
     {b Collection model.}  A collector is single-writer: the transport
     loop and each shard worker domain own one each, and a quiescent
@@ -75,8 +80,8 @@ val start :
   ts:float ->
   string ->
   active
-(** Open a span at [ts] ({!Clock.now_wall} seconds).  [parent] is the
-    enclosing span's id (0 = root of the trace). *)
+(** Open a span at [ts] (seconds on the collector's clock).  [parent] is
+    the enclosing span's id (0 = root of the trace). *)
 
 val finish : t -> active -> ts:float -> unit
 (** Close a started span.  A span never finished exports as zero-length. *)
@@ -134,10 +139,15 @@ val drain : into:t -> t -> unit
 
 (** {1 Export} *)
 
-val export : t -> Trace.t -> unit
-(** Emit every span as a Chrome async begin/end pair ([ph] "b"/"e") into
-    a {!Trace} sink, grouped by trace id — one track per request in
-    Perfetto, with span/parent ids and labels in [args]. *)
+val to_chrome : ?process:string -> t -> Json.t
+(** The Chrome [trace_event] document (load it in Perfetto or
+    [chrome://tracing]): one async begin/end pair ([ph] "b"/"e") per
+    span in recording order, with [id] = the span's trace id so every
+    span of a trace shares one track, timestamps in microseconds, and
+    the span id, parent id and labels in the begin event's [args].  An
+    empty category renders as ["span"].  [process] names the track group
+    with a leading [process_name] metadata event.  The document is
+    [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
 
 val to_json : t -> Json.t
 (** The compact [spans/1] document:

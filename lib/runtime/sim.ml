@@ -1,10 +1,9 @@
 open Repro_model
 open Repro_workload
-module Trace = Repro_obs.Trace
 module Metrics = Repro_obs.Metrics
-module Json = Repro_obs.Json
 module Recorder = Repro_obs.Recorder
 module Labels = Repro_obs.Labels
+module Span = Repro_obs.Span
 
 type protocol = Serial | Locking of { closed : bool } | Certify
 
@@ -14,9 +13,9 @@ let protocol_name = function
   | Locking { closed = false } -> "open"
   | Certify -> "certify"
 
-(* Telemetry timestamps: 1 simulated time unit renders as 1 ms (1000 µs in
-   the Chrome trace format) — a readable scale in Perfetto. *)
-let sim_us t = t *. 1000.0
+(* Span timestamps run on simulated time: 1 simulated time unit renders
+   as 1 ms, a readable scale in Perfetto. *)
+let sim_s t = t /. 1000.0
 
 type params = {
   protocol : protocol;
@@ -98,7 +97,8 @@ type world = {
   session : Repro_core.Engine.t;
       (* Certify protocol: the incremental certification session over the
          committed prefix; idle under the other protocols. *)
-  trace : Trace.t;
+  spans : Span.t;
+  traces : int array; (* client -> its trace id, 0 when not tracing *)
   metrics : Metrics.t;
   recorder : Recorder.t;
   wait_hist : string; (* per-protocol histogram names, precomputed *)
@@ -174,26 +174,35 @@ let sim_event w ?severity ~name ~client ~seq ~attempt () =
            ])
       name
 
+(* One span on [client]'s trace, starting at simulated time [from]
+   (default now) and lasting [dur] seconds (default 0: an instant).
+   Callers guard with [Span.enabled] to skip building the labels. *)
+let sim_span w ~client ?(from = w.now) ?(dur = 0.0) name labels =
+  let t0 = sim_s from in
+  ignore
+    (Span.emit w.spans ~cat:"sim" ~labels:(Labels.v labels)
+       ~trace:w.traces.(client) ~t0 ~t1:(t0 +. dur) name)
+
+let component_name w c = fst w.topo.Template.components.(c)
+
 let rec submit w ~client ~seq ~attempt_no ~first_submitted tmpl =
   if attempt_no > w.p.max_attempts then begin
     w.given_up <- w.given_up + 1;
     Metrics.incr w.metrics "sim.given_up";
     sim_event w ~severity:Recorder.Error ~name:"give_up" ~client ~seq
       ~attempt:attempt_no ();
-    if Trace.enabled w.trace then
-      Trace.instant w.trace ~cat:"sim" ~tid:client ~ts:(sim_us w.now)
-        ~args:[ ("seq", Json.Int seq); ("attempts", Json.Int attempt_no) ]
-        "give_up"
+    if Span.enabled w.spans then
+      sim_span w ~client "give_up"
+        [ ("seq", string_of_int seq); ("attempts", string_of_int attempt_no) ]
   end
   else begin
     if attempt_no > 0 then begin
       Metrics.incr w.metrics "sim.retries";
       sim_event w ~severity:Recorder.Debug ~name:"retry" ~client ~seq
         ~attempt:attempt_no ();
-      if Trace.enabled w.trace then
-        Trace.instant w.trace ~cat:"sim" ~tid:client ~ts:(sim_us w.now)
-          ~args:[ ("seq", Json.Int seq); ("attempt", Json.Int attempt_no) ]
-          "retry"
+      if Span.enabled w.spans then
+        sim_span w ~client "retry"
+          [ ("seq", string_of_int seq); ("attempt", string_of_int attempt_no) ]
     end;
     let att =
       {
@@ -229,14 +238,12 @@ and exec_node w att rpath parent_comp parent_inst (t : Template.t) ~k =
   if parent_comp = None || w.p.dispatch_delay <= 0.0 then start ()
   else begin
     Metrics.incr w.metrics "sim.dispatches";
-    if Trace.enabled w.trace then
-      Trace.instant w.trace ~cat:"sim" ~tid:att.client ~ts:(sim_us w.now)
-        ~args:
-          [
-            ("op", Json.String t.Template.label.Label.name);
-            ("component", Json.Int (Option.get parent_comp));
-          ]
-        "dispatch";
+    if Span.enabled w.spans then
+      sim_span w ~client:att.client "dispatch"
+        [
+          ("op", t.Template.label.Label.name);
+          ("component", component_name w (Option.get parent_comp));
+        ];
     at w (w.now +. (w.p.dispatch_delay *. (0.5 +. Prng.float w.rng 1.0))) start
   end
 
@@ -315,15 +322,14 @@ and acquire w att parent_comp parent_inst label ~k =
     let wait_over outcome =
       let wait = w.now -. !wait_start in
       Metrics.observe w.metrics w.wait_hist wait;
-      if Trace.enabled w.trace then
-        Trace.complete w.trace ~cat:"sim" ~pid:(c + 1) ~tid:att.client
-          ~ts:(sim_us !wait_start) ~dur:(sim_us wait)
-          ~args:
-            [
-              ("op", Json.String label.Label.name);
-              ("outcome", Json.String outcome);
-            ]
+      if Span.enabled w.spans then
+        sim_span w ~client:att.client ~from:!wait_start ~dur:(sim_s wait)
           "lock_wait"
+          [
+            ("op", label.Label.name);
+            ("component", component_name w c);
+            ("outcome", outcome);
+          ]
     in
     let rec try_lock () =
       if att.alive && not !acquired then begin
@@ -334,15 +340,13 @@ and acquire w att parent_comp parent_inst label ~k =
           acquired := true;
           if !blocked_once then wait_over "acquired";
           Metrics.incr w.metrics "sim.lock_acquires";
-          if Trace.enabled w.trace then
-            Trace.instant w.trace ~cat:"sim" ~pid:(c + 1) ~tid:att.client
-              ~ts:(sim_us w.now)
-              ~args:
-                [
-                  ("op", Json.String label.Label.name);
-                  ("owner", Json.Int owner);
-                ]
-              "lock_acquire";
+          if Span.enabled w.spans then
+            sim_span w ~client:att.client "lock_acquire"
+              [
+                ("op", label.Label.name);
+                ("component", component_name w c);
+                ("owner", string_of_int owner);
+              ];
           k ()
         | Error blockers ->
           if not !blocked_once then begin
@@ -350,15 +354,14 @@ and acquire w att parent_comp parent_inst label ~k =
             wait_start := w.now;
             w.lock_waits <- w.lock_waits + 1;
             Metrics.incr w.metrics "sim.lock_waits";
-            if Trace.enabled w.trace then
-              Trace.instant w.trace ~cat:"sim" ~pid:(c + 1) ~tid:att.client
-                ~ts:(sim_us w.now)
-                ~args:
-                  [
-                    ("op", Json.String label.Label.name);
-                    ("blockers", Json.List (List.map (fun b -> Json.Int b) blockers));
-                  ]
-                "lock_blocked";
+            if Span.enabled w.spans then
+              sim_span w ~client:att.client "lock_blocked"
+                [
+                  ("op", label.Label.name);
+                  ("component", component_name w c);
+                  ( "blockers",
+                    String.concat "," (List.map string_of_int blockers) );
+                ];
             at w (w.now +. w.p.lock_timeout) (fun () ->
                 if att.alive && not !acquired then begin
                   wait_over "timeout";
@@ -377,19 +380,18 @@ and abort w att =
     Metrics.incr w.metrics "sim.aborts";
     sim_event w ~severity:Recorder.Warn ~name:"abort" ~client:att.client
       ~seq:att.seq ~attempt:att.attempt_no ();
-    if Trace.enabled w.trace then
-      Trace.instant w.trace ~cat:"sim" ~tid:att.client ~ts:(sim_us w.now)
-        ~args:
-          [ ("aid", Json.Int att.aid); ("attempt", Json.Int att.attempt_no) ]
-        "abort";
+    if Span.enabled w.spans then
+      sim_span w ~client:att.client "abort"
+        [
+          ("aid", string_of_int att.aid);
+          ("attempt", string_of_int att.attempt_no);
+        ];
     Repro_storage.Store.abort w.store att.store_tx;
     release_attempt_locks w att;
     let delay = w.p.backoff *. (0.5 +. Prng.float w.rng 1.0) in
-    if Trace.enabled w.trace then
-      Trace.complete w.trace ~cat:"sim" ~tid:att.client ~ts:(sim_us w.now)
-        ~dur:(sim_us delay)
-        ~args:[ ("aid", Json.Int att.aid) ]
-        "backoff";
+    if Span.enabled w.spans then
+      sim_span w ~client:att.client ~dur:(sim_s delay) "backoff"
+        [ ("aid", string_of_int att.aid) ];
     at w (w.now +. delay) (fun () ->
         submit w ~client:att.client ~seq:att.seq ~attempt_no:(att.attempt_no + 1)
           ~first_submitted:att.first_submitted att.tmpl)
@@ -410,16 +412,14 @@ and commit w att =
     Metrics.observe w.metrics "sim.latency" latency;
     sim_event w ~name:"commit" ~client:att.client ~seq:att.seq
       ~attempt:att.attempt_no ();
-    if Trace.enabled w.trace then
-      Trace.instant w.trace ~cat:"sim" ~tid:att.client ~ts:(sim_us w.now)
-        ~args:
-          [
-            ("aid", Json.Int att.aid);
-            ("seq", Json.Int att.seq);
-            ("attempt", Json.Int att.attempt_no);
-            ("latency", Json.Float latency);
-          ]
-        "commit";
+    if Span.enabled w.spans then
+      sim_span w ~client:att.client "commit"
+        [
+          ("aid", string_of_int att.aid);
+          ("seq", string_of_int att.seq);
+          ("attempt", string_of_int att.attempt_no);
+          ("latency", Fmt.str "%g" latency);
+        ];
     (* The client session continues. *)
     let seq = att.seq + 1 in
     if seq < w.p.txs_per_client then begin
@@ -446,12 +446,12 @@ and commit w att =
    the legacy oracle — a cold batch [Compc.is_correct] over the whole
    prefix — for benchmarking and equivalence tests. *)
 (* The certification check runs the real Comp-C decision procedure, so its
-   cost is wall-clock time, not simulated time; the trace span starts at
-   the simulated commit point but its duration (and the metrics histogram)
-   report the wall cost.  The checker's own per-level telemetry is not
-   threaded through here — its wall-clock timestamps would not line up with
-   this sink's simulated clock — but its metrics (dimensionless counters and
-   durations) are shared. *)
+   cost is wall-clock time, not simulated time; the [certify_check] span
+   starts at the simulated commit point but its duration (and the metrics
+   histogram) report the wall cost.  The checker's own reduction spans are
+   not threaded through here — their wall-clock timestamps would not line
+   up with this collector's simulated clock — but its metrics
+   (dimensionless counters and durations) are shared. *)
 and certifies w att =
   let trial = assemble_attempts w (att :: w.committed) in
   let t0 = Repro_obs.Clock.now_wall () in
@@ -476,17 +476,14 @@ and certifies w att =
   Metrics.observe w.metrics "sim.certify_wall_s" wall;
   Metrics.observe w.metrics "sim.certify_cpu_s"
     (Repro_obs.Clock.now_cpu () -. t0c);
-  if Trace.enabled w.trace then
-    Trace.complete w.trace ~cat:"sim" ~tid:att.client ~ts:(sim_us w.now)
-      ~dur:(wall *. 1e6)
-      ~args:
-        [
-          ("aid", Json.Int att.aid);
-          ("prefix", Json.Int (List.length w.committed));
-          ("ok", Json.Bool ok);
-          ("wall_ms", Json.Float (wall *. 1e3));
-        ]
-      "certify_check";
+  if Span.enabled w.spans then
+    sim_span w ~client:att.client ~dur:wall "certify_check"
+      [
+        ("aid", string_of_int att.aid);
+        ("prefix", string_of_int (List.length w.committed));
+        ("ok", string_of_bool ok);
+        ("wall_ms", Fmt.str "%.3f" (wall *. 1e3));
+      ];
   ok
 
 (* ------------------------------------------------------------------ *)
@@ -568,7 +565,7 @@ let assemble w = assemble_attempts w w.committed
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(trace = Trace.null) ?(metrics = Metrics.null)
+let run ?(spans = Span.null) ?(metrics = Metrics.null)
     ?(recorder = Recorder.null) p topo ~gen =
   let n = Array.length topo.Template.components in
   let proto = protocol_name p.protocol in
@@ -597,7 +594,10 @@ let run ?(trace = Trace.null) ?(metrics = Metrics.null)
       latencies = [];
       last_commit = 0.0;
       session = Repro_core.Engine.create ~obs:(Repro_obs.Sink.v ~metrics ()) ();
-      trace;
+      spans;
+      (* One trace per client, minted up front from the collector's own
+         counter: deterministic, and no draw from [rng]. *)
+      traces = Array.init p.clients (fun _ -> Span.fresh_trace spans);
       metrics;
       recorder;
       wait_hist = "sim.lock_wait_time." ^ proto;
@@ -610,16 +610,6 @@ let run ?(trace = Trace.null) ?(metrics = Metrics.null)
       Some
         (fun ~owner:_ ~label:_ ~since ->
           Metrics.observe w.metrics w.hold_hist (w.now -. since));
-  if Trace.enabled trace then begin
-    Trace.set_process_name trace ~pid:0 "clients";
-    Array.iteri
-      (fun c (name, _) ->
-        Trace.set_process_name trace ~pid:(c + 1) ("component:" ^ name))
-      topo.Template.components;
-    for client = 0 to p.clients - 1 do
-      Trace.set_thread_name trace ~pid:0 ~tid:client (Fmt.str "client %d" client)
-    done
-  end;
   (* Initial submissions, slightly staggered for determinism. *)
   for client = 0 to p.clients - 1 do
     at w (0.001 *. float_of_int client) (fun () ->

@@ -93,7 +93,7 @@ val protocol_name : protocol -> string
     also used to suffix per-protocol metric names. *)
 
 val run :
-  ?trace:Repro_obs.Trace.t ->
+  ?spans:Repro_obs.Span.t ->
   ?metrics:Repro_obs.Metrics.t ->
   ?recorder:Repro_obs.Recorder.t ->
   params ->
@@ -104,13 +104,16 @@ val run :
     then [~seq:1] after that commits, and so on.  Deterministic for a given
     [params.seed] — telemetry never draws from the random stream.
 
-    With [trace] (default {!Repro_obs.Trace.null}), every scheduler event is
-    recorded: [dispatch], [lock_blocked], [lock_wait] (span, closed with
-    outcome [acquired] or [timeout]), [lock_acquire], [abort], [backoff]
-    (span), [retry], [give_up], [commit] and — under {!Certify} —
-    [certify_check] (span whose duration is the checker's wall-clock cost).
-    Timestamps are simulated time scaled to 1 unit = 1 ms; pid 0 is the
-    client process, pid [c+1] is component [c].
+    With [spans] (default {!Repro_obs.Span.null}), every scheduler event is
+    recorded as a span in category [sim] on its client's trace (one trace
+    id per client, minted at the start of the run): [dispatch],
+    [lock_blocked], [lock_wait] (closed with outcome [acquired] or
+    [timeout]), [lock_acquire], [abort], [backoff], [retry], [give_up],
+    [commit] and — under {!Certify} — [certify_check] (whose duration is
+    the checker's wall-clock cost).  Timestamps are simulated time in
+    seconds, 1 unit = 1 ms; [lock_wait], [backoff] and [certify_check]
+    have a duration, the other events are zero-length.  The lock events
+    name their component in the label [component].
 
     With [metrics] (default {!Repro_obs.Metrics.null}), counters
     [sim.committed], [sim.aborts], [sim.given_up], [sim.lock_waits],

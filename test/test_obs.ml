@@ -113,49 +113,54 @@ let test_null_metrics_noop () =
   Alcotest.(check bool) "no histogram" true (Metrics.summary m "h" = None)
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
+(* Chrome export                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_trace_chrome_json () =
-  let t = Trace.create () in
-  Trace.set_process_name t ~pid:1 "component:bank";
-  Trace.set_thread_name t ~pid:0 ~tid:3 "client 3";
-  Trace.instant t ~cat:"sim" ~tid:3 ~ts:12.5
-    ~args:[ ("op", Json.String "withdraw \"x\"") ]
-    "commit";
-  Trace.complete t ~cat:"sim" ~pid:2 ~tid:3 ~ts:10.0 ~dur:2.5 "lock_wait";
-  Alcotest.(check int) "two events" 2 (Trace.length t);
-  let doc = Json.of_string (Json.to_string (Trace.to_json t)) in
-  let events = Json.to_list_exn (Option.get (Json.member "traceEvents" doc)) in
-  (* 2 metadata + 2 recorded *)
-  Alcotest.(check int) "traceEvents" 4 (List.length events);
-  let phases =
-    List.filter_map (fun e -> Json.member "ph" e) events
+  let t = Span.create () in
+  let trace = Span.fresh_trace t in
+  ignore
+    (Span.emit t ~cat:"sim"
+       ~labels:(Labels.v [ ("op", "withdraw \"x\"") ])
+       ~trace ~t0:12.5e-6 ~t1:12.5e-6 "commit");
+  ignore (Span.emit t ~cat:"sim" ~trace ~t0:10.0e-6 ~t1:12.5e-6 "lock_wait");
+  let doc =
+    Json.of_string (Json.to_string (Span.to_chrome ~process:"compsim" t))
   in
+  let events = Json.to_list_exn (Option.get (Json.member "traceEvents" doc)) in
+  (* 1 metadata + a b/e pair per span *)
+  Alcotest.(check int) "traceEvents" 5 (List.length events);
+  let phases = List.filter_map (fun e -> Json.member "ph" e) events in
   Alcotest.(check bool) "phases" true
-    (phases = [ Json.String "M"; Json.String "M"; Json.String "i"; Json.String "X" ]);
-  let span = List.nth events 3 in
-  Alcotest.(check bool) "dur" true (Json.member "dur" span = Some (Json.Float 2.5));
-  Alcotest.(check bool) "ts" true (Json.member "ts" span = Some (Json.Float 10.0));
-  (* every recorded event must carry the mandatory Chrome fields *)
+    (phases = List.map (fun p -> Json.String p) [ "M"; "b"; "e"; "b"; "e" ]);
+  let ts i = Json.member "ts" (List.nth events i) in
+  Alcotest.(check bool) "begin ts in us" true (ts 3 = Some (Json.Float 10.0));
+  Alcotest.(check bool) "end ts in us" true (ts 4 = Some (Json.Float 12.5));
+  Alcotest.(check bool) "labels survive escaping" true
+    (Option.bind (Json.member "args" (List.nth events 1)) (Json.member "op")
+    = Some (Json.String "withdraw \"x\""));
+  Alcotest.(check bool) "display unit" true
+    (Json.member "displayTimeUnit" doc = Some (Json.String "ms"));
+  (* every event must carry the mandatory Chrome fields, and every async
+     event the trace id that groups it onto its track *)
   List.iter
     (fun e ->
       List.iter
         (fun k ->
           Alcotest.(check bool) (Fmt.str "field %s present" k) true
             (Json.member k e <> None))
-        [ "name"; "ph"; "pid" ])
+        ([ "name"; "ph"; "pid" ]
+        @ if Json.member "ph" e = Some (Json.String "M") then [] else [ "id" ]))
     events
 
 let test_null_trace_noop () =
-  let t = Trace.null in
-  Trace.instant t ~ts:1.0 "x";
-  Trace.complete t ~ts:1.0 ~dur:1.0 "y";
-  Trace.set_process_name t ~pid:0 "p";
-  Alcotest.(check bool) "disabled" false (Trace.enabled t);
-  Alcotest.(check int) "no events" 0 (Trace.length t);
-  Alcotest.(check bool) "empty json" true
-    (Json.member "traceEvents" (Trace.to_json t) = Some (Json.List []))
+  let t = Span.null in
+  let trace = Span.fresh_trace t in
+  ignore (Span.emit t ~trace ~t0:1.0 ~t1:2.0 "y");
+  Alcotest.(check bool) "disabled" false (Span.enabled t);
+  Alcotest.(check int) "no spans" 0 (Span.length t);
+  Alcotest.(check bool) "empty chrome document" true
+    (Json.member "traceEvents" (Span.to_chrome t) = Some (Json.List []))
 
 (* ------------------------------------------------------------------ *)
 (* Simulator integration                                               *)
@@ -180,7 +185,7 @@ let bank_template rng ~client ~seq =
         [ Template.leaf (Label.read a); Template.leaf (Label.write a) ];
     ]
 
-let run_closed ?trace ?metrics seed =
+let run_closed ?spans ?metrics seed =
   let params =
     {
       Sim.default_params with
@@ -192,12 +197,12 @@ let run_closed ?trace ?metrics seed =
       backoff = 2.0;
     }
   in
-  Sim.run ?trace ?metrics params bank_topology ~gen:bank_template
+  Sim.run ?spans ?metrics params bank_topology ~gen:bank_template
 
 let test_sim_metrics_match_stats () =
   let metrics = Metrics.create () in
-  let trace = Trace.create () in
-  let st = run_closed ~trace ~metrics 11 in
+  let spans = Span.create () in
+  let st = run_closed ~spans ~metrics 11 in
   Alcotest.(check int) "committed" st.Sim.committed
     (Metrics.counter_value metrics "sim.committed");
   Alcotest.(check int) "aborts" st.Sim.aborts
@@ -208,14 +213,22 @@ let test_sim_metrics_match_stats () =
     (Metrics.counter_value metrics "sim.lock_waits");
   Alcotest.(check (option (float 1e-9))) "makespan gauge" (Some st.Sim.makespan)
     (Metrics.gauge_value metrics "sim.makespan");
-  (* the trace's commit instants agree with the counter, and the whole
-     document survives a JSON round-trip *)
+  (* the commit spans agree with the counter, each client's events share
+     one trace, and the Chrome document survives a JSON round-trip *)
+  let views = Span.spans spans in
   let commits =
-    List.length
-      (List.filter (fun e -> e.Trace.name = "commit") (Trace.events trace))
+    List.length (List.filter (fun v -> v.Span.v_name = "commit") views)
   in
   Alcotest.(check int) "commit events" st.Sim.committed commits;
-  let doc = Json.of_string (Json.to_string (Trace.to_json trace)) in
+  Alcotest.(check int) "one trace per client" 5
+    (List.length (List.sort_uniq compare (List.map (fun v -> v.Span.v_trace) views)));
+  Alcotest.(check bool) "lock waits run forward on simulated time" true
+    (List.for_all
+       (fun v ->
+         v.Span.v_name <> "lock_wait"
+         || (v.Span.v_t1 >= v.Span.v_t0 && Labels.find "component" v.Span.v_labels <> None))
+       views);
+  let doc = Json.of_string (Json.to_string (Span.to_chrome spans)) in
   Alcotest.(check bool) "trace json parses" true
     (Json.member "traceEvents" doc <> None)
 
@@ -223,7 +236,7 @@ let test_sim_telemetry_is_transparent () =
   (* Attaching telemetry must not perturb the simulation: identical seed,
      identical outcome (telemetry never draws from the random stream). *)
   let plain = run_closed 13 in
-  let st = run_closed ~trace:(Trace.create ()) ~metrics:(Metrics.create ()) 13 in
+  let st = run_closed ~spans:(Span.create ()) ~metrics:(Metrics.create ()) 13 in
   Alcotest.(check int) "committed" plain.Sim.committed st.Sim.committed;
   Alcotest.(check int) "aborts" plain.Sim.aborts st.Sim.aborts;
   Alcotest.(check bool) "makespan" true (plain.Sim.makespan = st.Sim.makespan)
@@ -231,19 +244,24 @@ let test_sim_telemetry_is_transparent () =
 let test_checker_telemetry () =
   let h = Repro_workload.Gen.stack (Repro_workload.Prng.create ~seed:6) ~levels:3 ~roots:2 in
   let metrics = Metrics.create () in
-  let trace = Trace.create () in
-  let v = Repro_core.Compc.check ~trace ~metrics h in
-  let steps =
-    List.filter (fun e -> e.Trace.name = "reduction_step") (Trace.events trace)
-  in
+  let spans = Span.create () in
+  let s = Repro_core.Engine.of_history ~obs:(Sink.v ~spans ~metrics ()) h in
+  let profile = Span.spans spans in
+  let steps = List.filter (fun v -> v.Span.v_name = "reduction_step") profile in
   Alcotest.(check int) "one span per attempted level"
     (Metrics.counter_value metrics "compc.steps")
     (List.length steps);
+  Alcotest.(check bool) "the profile is one compc trace" true
+    (List.for_all
+       (fun v ->
+         v.Span.v_cat = "compc"
+         && v.Span.v_trace = (List.hd profile).Span.v_trace)
+       profile);
   Alcotest.(check int) "accept+reject = checks"
     (Metrics.counter_value metrics "compc.checks")
     (Metrics.counter_value metrics "compc.accept"
     + Metrics.counter_value metrics "compc.reject");
-  if not (Repro_core.Compc.is_correct_verdict v) then
+  if not (Repro_core.Engine.accepted s) then
     Alcotest.(check bool) "failure classified" true
       (List.exists
          (fun k -> Metrics.counter_value metrics ("compc.failure." ^ k) > 0)
@@ -521,18 +539,15 @@ let test_span_basics () =
   Alcotest.(check bool) "child labels survive" true
     (Labels.find "k" child_v.Span.v_labels = Some "v");
   (* Chrome export: one async begin/end pair per span, grouped by trace *)
-  let tr = Trace.create () in
-  Span.export t tr;
-  Alcotest.(check int) "one b/e pair per span" 6 (Trace.length tr);
-  let evs = Trace.events tr in
+  let evs =
+    Json.to_list_exn (Option.get (Json.member "traceEvents" (Span.to_chrome t)))
+  in
+  Alcotest.(check int) "one b/e pair per span" 6 (List.length evs);
   Alcotest.(check bool) "async pairs carry the trace as id" true
     (List.for_all
        (fun e ->
-         e.Trace.id = trace
-         &&
-         match e.Trace.phase with
-         | Trace.Async_begin | Trace.Async_end -> true
-         | _ -> false)
+         Json.member "id" e = Some (Json.String (Printf.sprintf "0x%x" trace))
+         && List.mem (Json.member "ph" e) [ Some (Json.String "b"); Some (Json.String "e") ])
        evs);
   (* spans/1 JSON: stable schema, hex ids, root's parent omitted *)
   let j = Json.of_string (Json.to_string (Span.to_json t)) in
@@ -549,6 +564,44 @@ let test_span_basics () =
   (* finish is physical: the [none] handle is inert *)
   Span.finish t Span.none ~ts:99.0;
   Alcotest.(check int) "finishing none records nothing" 3 (Span.length t)
+
+(* The Chrome trace_event document, byte for byte: one async b/e pair per
+   span keyed by the trace id, span/parent ids and sorted labels in the
+   begin event's args, the process_name metadata row first.  Covers two
+   traces, a parent chain, a default category, a span never finished and a
+   zero-length one. *)
+let test_span_chrome_pin () =
+  let t = Span.create () in
+  let a = Span.fresh_trace t in
+  let b = Span.fresh_trace t in
+  let root = Span.start t ~cat:"serve" ~trace:a ~ts:1.0 "request" in
+  let child =
+    Span.emit t ~parent:(Span.id root) ~cat:"engine"
+      ~labels:(Labels.v [ ("path", "fast"); ("nodes", "3") ])
+      ~trace:a ~t0:1.125 ~t1:1.25 "engine.append"
+  in
+  ignore (Span.start t ~parent:child ~trace:a ~ts:1.25 "open");
+  Span.finish t root ~ts:1.5;
+  ignore
+    (Span.emit t ~cat:"compc"
+       ~labels:(Labels.v [ ("kind", "no_calculation") ])
+       ~trace:b ~t0:2.0625 ~t1:2.0625 "failure");
+  let expected =
+    String.concat ","
+      [
+        {|{"traceEvents":[{"name":"process_name","ph":"M","pid":0,"args":{"name":"x"}}|};
+        {|{"name":"request","cat":"serve","ph":"b","ts":1000000.0,"pid":0,"tid":0,"id":"0x1","args":{"span":"0x3"}}|};
+        {|{"name":"request","cat":"serve","ph":"e","ts":1500000.0,"pid":0,"tid":0,"id":"0x1"}|};
+        {|{"name":"engine.append","cat":"engine","ph":"b","ts":1125000.0,"pid":0,"tid":0,"id":"0x1","args":{"span":"0x4","parent":"0x3","nodes":"3","path":"fast"}}|};
+        {|{"name":"engine.append","cat":"engine","ph":"e","ts":1250000.0,"pid":0,"tid":0,"id":"0x1"}|};
+        {|{"name":"open","cat":"span","ph":"b","ts":1250000.0,"pid":0,"tid":0,"id":"0x1","args":{"span":"0x5","parent":"0x4"}}|};
+        {|{"name":"open","cat":"span","ph":"e","ts":1250000.0,"pid":0,"tid":0,"id":"0x1"}|};
+        {|{"name":"failure","cat":"compc","ph":"b","ts":2062500.0,"pid":0,"tid":0,"id":"0x2","args":{"span":"0x6","kind":"no_calculation"}}|};
+        {|{"name":"failure","cat":"compc","ph":"e","ts":2062500.0,"pid":0,"tid":0,"id":"0x2"}],"displayTimeUnit":"ms"}|};
+      ]
+  in
+  Alcotest.(check string) "chrome document" expected
+    (Json.to_string (Span.to_chrome ~process:"x" t))
 
 let test_span_null_and_sampling () =
   (* the null collector refuses everything after one branch *)
@@ -842,6 +895,8 @@ let suite =
         Alcotest.test_case "parmap_sink determinism" `Quick
           test_parmap_sink_deterministic;
         Alcotest.test_case "span collector basics" `Quick test_span_basics;
+        Alcotest.test_case "span chrome document is pinned" `Quick
+          test_span_chrome_pin;
         Alcotest.test_case "span null and sampling" `Quick
           test_span_null_and_sampling;
         Alcotest.test_case "span drain determinism" `Quick
