@@ -9,6 +9,7 @@ open Repro_model
 open Repro_workload
 module F = Figures
 module Compc = Repro_core.Compc
+module Engine = Repro_core.Engine
 module Shrink = Repro_core.Shrink
 module Sim = Repro_runtime.Sim
 module Template = Repro_runtime.Template
@@ -640,20 +641,20 @@ let e12 () =
     let (accepts_mon, mon_wall, stats), gc_mon =
       gc_row (fun () ->
           let prefixes = chain () in
-          let m = Repro_core.Monitor.create () in
+          let m = Engine.create () in
           let t0 = now_wall () in
           let accepts =
             List.fold_left
               (fun acc p ->
-                match Repro_core.Monitor.append m p with
-                | Repro_core.Monitor.Accepted _ -> acc + 1
-                | Repro_core.Monitor.Rejected _ -> acc)
+                match Engine.extend m p with
+                | Engine.Accepted _ -> acc + 1
+                | Engine.Rejected _ -> acc)
               0 prefixes
           in
-          (accepts, now_wall () -. t0, Repro_core.Monitor.stats m))
+          (accepts, now_wall () -. t0, Engine.stats m))
     in
-    let fastpath = stats.Repro_core.Monitor.fastpath_hits in
-    let delta_hits = stats.Repro_core.Monitor.delta_hits in
+    let fastpath = stats.Engine.fastpath_hits in
+    let delta_hits = stats.Engine.delta_hits in
     if accepts_full <> accepts_mon then
       Fmt.pr "  %-34s [VERDICT MISMATCH: full=%d monitor=%d]@." name accepts_full
         accepts_mon;
@@ -877,7 +878,8 @@ let e14 () =
   let rows =
     List.map
       (fun (name, h) ->
-        let v, _, check_w = time (fun () -> Compc.check h) in
+        let s, _, check_w = time (fun () -> Engine.of_history h) in
+        let v = Compc.of_session s in
         assert (not (Compc.is_correct_verdict v));
         let prov, _, prov_w =
           time (fun () ->
@@ -890,7 +892,7 @@ let e14 () =
           time (fun () ->
               Repro_obs.Json.to_string
                 (Repro_forensics.Evidence.to_json
-                   (Repro_forensics.Evidence.build v)))
+                   (Repro_forensics.Evidence.of_session s)))
         in
         ignore ev;
         Fmt.pr "  %-20s %6d %9.3f %9.3f %6.1f(%4d) %9.3f %8d -> %d@." name
@@ -992,8 +994,8 @@ let e15 () =
         (* The pre-engine CLI flow: `compcheck FILE` followed by
            `compcheck FILE --explain --format json`.  Each invocation
            parsed and ran the criterion report from scratch, and the
-           explain run additionally re-ran the whole pipeline inside
-           [Compc.check] to obtain the evidence's certificate — three
+           explain run additionally re-ran the whole pipeline in a fresh
+           session to obtain the evidence's certificate — three
            closure+reduction passes end to end. *)
         let (), _, split_w =
           time (fun () ->
@@ -1005,7 +1007,8 @@ let e15 () =
                 ignore
                   (Json.to_string
                      (Repro_forensics.Evidence.to_json
-                        (Repro_forensics.Evidence.build (Compc.check h2))))
+                        (Repro_forensics.Evidence.of_session
+                           (Engine.of_history h2))))
               done)
         in
         (* The engine flow of the new check subcommand: one parse, one
@@ -1015,10 +1018,10 @@ let e15 () =
           time (fun () ->
               for _ = 1 to reps do
                 let h1 = Repro_histlang.Syntax.parse text in
-                let s = Repro_core.Engine.of_history h1 in
+                let s = Engine.of_history h1 in
                 ignore
                   (Repro_criteria.Classic.accepted_by
-                     ~compc:(Repro_core.Engine.accepted s)
+                     ~compc:(Engine.accepted s)
                      h1);
                 ignore
                   (Json.to_string
@@ -1125,8 +1128,8 @@ let e16 () =
           List.init roots (fun i -> History.prefix_by_roots h (i + 1))
         in
         let stream obs =
-          let s = Repro_core.Engine.create ~obs () in
-          List.iter (fun p -> ignore (Repro_core.Engine.extend s p)) prefixes;
+          let s = Engine.create ~obs () in
+          List.iter (fun p -> ignore (Engine.extend s p)) prefixes;
           s
         in
         (* Warm-up: fault in the code paths once so neither side pays
@@ -1264,7 +1267,7 @@ let e17 () =
            around the append alone (prefix assembly is the workload
            generator's cost, not the monitor's). *)
         let metrics = Metrics.create () in
-        let m = Repro_core.Monitor.create ~metrics () in
+        let m = Engine.create ~obs:(Repro_obs.Sink.v ~metrics ()) () in
         let mon_wall = ref 0.0 in
         let minor = Array.make (appends + 1) 0.0 in
         let rejected = ref 0 in
@@ -1272,12 +1275,12 @@ let e17 () =
           let p = prefix k in
           let w0 = Gc.minor_words () in
           let t0 = now_wall () in
-          let v = Repro_core.Monitor.append m p in
+          let v = Engine.extend m p in
           mon_wall := !mon_wall +. (now_wall () -. t0);
           minor.(k) <- Gc.minor_words () -. w0;
           match v with
-          | Repro_core.Monitor.Accepted _ -> ()
-          | Repro_core.Monitor.Rejected _ -> incr rejected
+          | Engine.Accepted _ -> ()
+          | Engine.Rejected _ -> incr rejected
         done;
         if !rejected > 0 then
           Fmt.pr "  %-10d [UNEXPECTED REJECTS: %d]@." roots !rejected;
@@ -1289,7 +1292,7 @@ let e17 () =
           mw := !mw +. minor.(k)
         done;
         let mw = !mw /. float_of_int q in
-        let stats = Repro_core.Monitor.stats m in
+        let stats = Engine.stats m in
         let by_path p =
           Metrics.counter_value metrics
             ~labels:(Repro_obs.Labels.v [ ("path", p) ])
@@ -1319,7 +1322,7 @@ let e17 () =
         headline := speedup;
         Fmt.pr "  %-10d %6d %8d %12.4f %12.4f %7.1fx %7d %5d %10.0f@." roots
           nodes (appends + 1) !mon_wall !base_wall speedup
-          stats.Repro_core.Monitor.kernel_hits (by_path "full") mw;
+          stats.Engine.kernel_hits (by_path "full") mw;
         ( Fmt.str "open-stream-roots-%d" roots,
           Json.Obj
             [
@@ -1329,7 +1332,7 @@ let e17 () =
               ("monitor_wall_s", Json.Float !mon_wall);
               ("full_reduce_wall_s", Json.Float !base_wall);
               ("speedup", Json.Float speedup);
-              ("kernel_hits", Json.Int stats.Repro_core.Monitor.kernel_hits);
+              ("kernel_hits", Json.Int stats.Engine.kernel_hits);
               ("full_hits", Json.Int (by_path "full"));
               ("minor_words_per_append", Json.Float mw);
             ] ))
@@ -1430,15 +1433,15 @@ let e18 () =
      same prefix chain (identical for every stream up to item renaming). *)
   let parity_ref =
     let h = e18_history ~roots ~tag:0 in
-    let m = Repro_core.Monitor.create () in
+    let m = Engine.create () in
     Array.init roots (fun k ->
         match
-          Repro_core.Monitor.append m (History.prefix_by_roots h (k + 1))
+          Engine.extend m (History.prefix_by_roots h (k + 1))
         with
-        | Repro_core.Monitor.Accepted _ -> true
-        | Repro_core.Monitor.Rejected _ -> false)
+        | Engine.Accepted _ -> true
+        | Engine.Rejected _ -> false)
   in
-  (* Context baseline: the bare monitor path — parse + Monitor.append,
+  (* Context baseline: the bare monitor path — parse + Engine.extend,
      no server at all — over as many sequential single sessions as the
      largest row has streams, through the same histogram buckets.  Not a
      gate (a one-core box taxes the cross-domain path with scheduler
@@ -1452,8 +1455,8 @@ let e18 () =
       for rep = 0 to baseline_streams - 1 do
         let preamble, chunks = chunks_of (e18_history ~roots ~tag:rep) in
         let m =
-          Repro_core.Monitor.create
-            ~recorder:(Repro_obs.Recorder.create ())
+          Engine.create
+            ~obs:(Repro_obs.Sink.v ~recorder:(Repro_obs.Recorder.create ()) ())
             ~window ()
         in
         let buf = Buffer.create 256 in
@@ -1463,7 +1466,7 @@ let e18 () =
             let t0 = now_wall () in
             Buffer.add_string buf body;
             let h = Repro_histlang.Syntax.parse (Buffer.contents buf) in
-            ignore (Repro_core.Monitor.append m h);
+            ignore (Engine.extend m h);
             Metrics.observe hm "base.append_wall_s" (now_wall () -. t0))
           chunks
       done;
@@ -1964,13 +1967,13 @@ let e20_profile = function
   | _ -> { Gen.default_profile with Gen.read_ratio = 0.15 }
 
 let e20_horizon h ~roots =
-  let m = Repro_core.Monitor.create () in
+  let m = Engine.create () in
   let rec go k =
     if k > roots then roots
     else
-      match Repro_core.Monitor.append m (History.prefix_by_roots h k) with
-      | Repro_core.Monitor.Accepted _ -> go (k + 1)
-      | Repro_core.Monitor.Rejected _ -> k - 1
+      match Engine.extend m (History.prefix_by_roots h k) with
+      | Engine.Accepted _ -> go (k + 1)
+      | Engine.Rejected _ -> k - 1
   in
   go 1
 
@@ -2244,26 +2247,26 @@ let e21 () =
            compserve's default window would certify it.  A second session
            pass feeds the engine, so its memo never warms the timed
            session above. *)
-        let eng = Repro_core.Engine.create ~window:64 () in
+        let eng = Engine.create ~window:64 () in
         let session = ref (Repro_histlang.Syntax.Session.empty ()) in
         let ew = ref [] and et = ref [] in
         Array.iteri
           (fun i chunk ->
             session := Repro_histlang.Syntax.Session.feed !session chunk;
             let h = Repro_histlang.Syntax.Session.history !session in
-            let v, w, t = measure (fun () -> Repro_core.Engine.extend eng h) in
+            let v, w, t = measure (fun () -> Engine.extend eng h) in
             (match v with
-            | Repro_core.Engine.Accepted _ -> ()
-            | Repro_core.Engine.Rejected _ ->
+            | Engine.Accepted _ -> ()
+            | Engine.Rejected _ ->
               failwith (Fmt.str "e21: the engine rejected append %d at %d roots" i roots));
             if deep i then begin
               ew := w :: !ew;
               et := t :: !et
             end)
           chunks;
-        let restores = Repro_core.Engine.restores eng in
-        let truncations = Repro_core.Engine.truncations eng in
-        let kernel_hits = (Repro_core.Engine.stats eng).Repro_core.Engine.kernel_hits in
+        let restores = Engine.restores eng in
+        let truncations = Engine.truncations eng in
+        let kernel_hits = (Engine.stats eng).Engine.kernel_hits in
         let sw = e21_median !sw and st = e21_median !st and sp = e21_median !sp in
         let rw = e21_median !rw and rt = e21_median !rt in
         let ew = e21_median !ew and et = e21_median !et in

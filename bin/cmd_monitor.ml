@@ -145,12 +145,12 @@ let session ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
     if brief then Fmt.pf ppf "%s: monitor: accept (%d %s)@." path k (units k)
     else
       Fmt.pf hpf
-        "monitor: accept - %s Comp-C (%d reductions skipped on the fast \
-         path)@."
+        "monitor: accept - %s Comp-C (%d %s skipped on the fast path)@."
         (match total with
-        | Some n -> Fmt.str "all %d %s" n (units 2)
+        | Some n -> Fmt.str "all %d %s" n (units n)
         | None -> Fmt.str "%d stream %s" k (units k))
-        fast;
+        fast
+        (if fast = 1 then "reduction" else "reductions");
     if explain then begin
       (* A history that never entered the session (rootless, or all
          deferred) is analyzed now so the report has a frame to read. *)

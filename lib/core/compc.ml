@@ -7,16 +7,21 @@ type verdict = {
   certificate : Reduction.certificate;
 }
 
-(* One-shot facade over the engine: a fresh session, advanced once, its
-   state exposed as the traditional verdict record.  [Engine.analyze]
-   forces the certificate and emits the compc.* check metrics. *)
-let check ?(metrics = Repro_obs.Metrics.null) history =
-  let s = Engine.of_history ~obs:(Repro_obs.Sink.v ~metrics ()) history in
+(* The certificate is read first: on a truncated session it restores the
+   dense state, and the relations read after it are the whole history's. *)
+let of_session s =
+  let certificate = Engine.certificate s in
   {
-    history;
+    history = Option.get (Engine.history s);
     relations = Option.get (Engine.relations s);
-    certificate = Engine.certificate s;
+    certificate;
   }
+
+(* One-shot use of the engine: a fresh session, advanced once.
+   [Engine.analyze] forces the certificate and emits the compc.* check
+   metrics. *)
+let check ?(metrics = Repro_obs.Metrics.null) history =
+  of_session (Engine.of_history ~obs:(Repro_obs.Sink.v ~metrics ()) history)
 
 let is_correct_verdict v = Reduction.is_correct v.certificate
 

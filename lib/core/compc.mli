@@ -22,6 +22,13 @@ type verdict = {
   certificate : Reduction.certificate;
 }
 
+val of_session : Engine.t -> verdict
+(** The verdict record of a session's current history, read from its
+    caches: no closure is recomputed, and a session that decided
+    incrementally derives its certificate once over its warm relations
+    ({!Engine.certificate}, which first restores a truncated session).
+    Raises [Invalid_argument] on the empty session. *)
+
 val check : ?metrics:Repro_obs.Metrics.t -> History.t -> verdict
 (** Decide Comp-C for the history.  [metrics] (default
     {!Repro_obs.Metrics.null}) is threaded through {!Observed.compute} and

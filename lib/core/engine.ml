@@ -158,8 +158,6 @@ let create ?(obs = Sink.null) ?window () =
     gc0 = Gc.quick_stat ();
   }
 
-let sink t = t.obs
-
 let levels_of h =
   Array.init (History.n_schedules h) (fun s -> History.level h s)
 
@@ -1059,7 +1057,7 @@ let certify ~spans t =
     (* The incremental paths carry the verdict without a transcript;
        re-derive one over the warm relations (no closure recompute).  The
        witness may differ in inessentials from the carried verdict's — see
-       the monitor's verdict-equivalence note — but the outcome agrees. *)
+       {!extend}'s verdict-equivalence note — but the outcome agrees. *)
     let c = Reduction.reduce ~rel:f.rel ~spans ~metrics:t.obs.Sink.metrics f.h in
     f.cert <- Some c;
     c
@@ -1085,38 +1083,6 @@ let of_history ?obs h =
   let t = create ?obs () in
   ignore (analyze t h);
   t
-
-let of_parts ?(obs = Sink.null) h rel certificate =
-  {
-    obs;
-    cur =
-      Some
-        {
-          h;
-          rel;
-          levels = levels_of h;
-          verdict = verdict_of_certificate certificate;
-          n_obs = Rel.cardinal rel.Observed.obs;
-          n_inp = Rel.cardinal rel.Observed.inp;
-          cert = Some certificate;
-          prov = None;
-        };
-    snapshot = None;
-    inc = Observed.inc_create ();
-    kernel = None;
-    floor = 0;
-    summary = None;
-    window = None;
-    eff_window = max_int;
-    mark = 0;
-    truncations = 0;
-    by_cause = Array.make (List.length restore_causes) 0;
-    appends = 0;
-    fastpath_hits = 0;
-    delta_hits = 0;
-    kernel_hits = 0;
-    gc0 = Gc.quick_stat ();
-  }
 
 let undo t =
   match t.snapshot with

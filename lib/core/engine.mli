@@ -2,7 +2,7 @@
     consumer of a Comp-C verdict.
 
     Four consumers need the same per-history analysis state — the batch
-    checker ({!Compc}), the streaming monitor ({!Monitor}), the forensic
+    checker ({!Compc}), the streaming monitor ({!extend}), the forensic
     layer (provenance, evidence, shrinking) and the definitional
     cross-check ({!Equivalence}) — and before this module each rebuilt it
     from scratch: a fresh observed-order closure, a fresh conflict memo, a
@@ -35,6 +35,13 @@
     deterministic assembly produce exactly this shape.  The cheap
     violations (shrinking, schedule mismatch) raise [Invalid_argument];
     the rest is the caller's responsibility.
+
+    {b Verdict equivalence.}  After any sequence of {!extend}s the
+    session's verdict equals {!Compc.is_correct} on its current history —
+    pinned by the qcheck properties in [test/test_monitor.ml] and
+    [test/test_engine.ml].  The reported witness may differ in
+    inessentials (the serial order places delta roots last; a rejection
+    may cite a different — but equally real — cycle).
 
     Sessions are single-domain, like the history memos they warm. *)
 
@@ -103,17 +110,6 @@ val of_history : ?obs:Repro_obs.Sink.t -> History.t -> t
 (** [of_history h] is a fresh session advanced to [h] by {!analyze} — the
     one-shot batch entry point. *)
 
-val of_parts :
-  ?obs:Repro_obs.Sink.t ->
-  History.t ->
-  Observed.relations ->
-  Reduction.certificate ->
-  t
-(** Adopt analysis state computed elsewhere (a {!Compc.verdict}'s fields)
-    as a session, with every cache seeded — no recomputation.  The parts
-    must belong together: [rel] the closure of [h], [certificate] the
-    reduction over [rel]. *)
-
 (** {1 Entry points} *)
 
 val analyze : t -> History.t -> verdict
@@ -135,11 +131,9 @@ val extend : t -> History.t -> verdict
     incremental order kernel (Pearce–Kelly topological-order/SCC graphs
     per front level and reduction step, fed only the edge delta); and
     only when schedule levels shift falls back to a full reduction over
-    the already-extended relations.  The
-    verdict equals {!analyze} on the same history (pinned by qcheck); the
-    witness may differ in inessentials (delta roots appended last, a
-    different — but equally real — witness cycle).  The previous state is
-    retained for one {!undo}.  Reports the [monitor.*] metrics. *)
+    the already-extended relations.  The verdict equals {!analyze} on the
+    same history (see {e Verdict equivalence} above).  The previous state
+    is retained for one {!undo}.  Reports the [monitor.*] metrics. *)
 
 val undo : t -> unit
 (** Roll back the last {!extend}/{!analyze} — the certify-reject path of
@@ -275,8 +269,6 @@ val shrink : ?max_probes:int -> t -> Shrink.result option
     the session already decided. *)
 
 (** {1 Telemetry} *)
-
-val sink : t -> Repro_obs.Sink.t
 
 type stats = {
   appends : int;

@@ -20,32 +20,18 @@ type t = {
   extra : (string * Json.t) list;
 }
 
-(* Every assembly path goes through a session: its certificate, provenance
-   and cycle classification are cached, so evidence after a batch analysis
-   (or a monitored run) reuses the session's closure and conflict memo
-   instead of recomputing them. *)
+(* Evidence is read from a session: its certificate, provenance and cycle
+   classification are cached, so evidence after a batch analysis (or a
+   monitored run) reuses the session's closure and conflict memo instead
+   of recomputing them. *)
 let of_session ?(shrink = false) ?max_probes ?(extra = []) s =
-  let verdict =
-    {
-      Compc.history = Option.get (Engine.history s);
-      relations = Option.get (Engine.relations s);
-      certificate = Engine.certificate s;
-    }
-  in
+  let verdict = Compc.of_session s in
   let e = Engine.explain s in
   let shrunk =
     if shrink && not (Engine.accepted s) then Engine.shrink ?max_probes s
     else None
   in
   { verdict; prov = e.Engine.provenance; edges = e.Engine.cycle_edges; shrunk; extra }
-
-let build ?shrink ?max_probes ?extra (v : Compc.verdict) =
-  of_session ?shrink ?max_probes ?extra
-    (Engine.of_parts v.Compc.history v.Compc.relations v.Compc.certificate)
-
-let provenance t = t.prov
-let edges t = t.edges
-let shrunk t = t.shrunk
 
 (* ---- JSON ---- *)
 

@@ -11,14 +11,11 @@
     {!Repro_core.Compc.explain} plus derivation chains and the shrink
     summary).
 
-    Evidence is assembled from an {!Repro_core.Engine} session
+    Evidence is assembled from a live {!Repro_core.Engine} session
     ({!of_session}), reusing its cached closure, conflict memo, certificate
-    and provenance; {!build} adopts a pre-computed {!Repro_core.Compc}
-    verdict into a session first.  Strictly cold-path machinery: real work
-    happens only on a rejection, and nothing in the accept fast path
-    depends on this library. *)
-
-open Repro_order.Ids
+    and provenance.  Strictly cold-path machinery: real work happens only
+    on a rejection, and nothing in the accept fast path depends on this
+    library. *)
 
 type t
 
@@ -38,24 +35,6 @@ val of_session :
     monitor mode uses this to record the violating prefix.  On an accepted
     verdict the evidence is just the verdict and the serial order.  Raises
     [Invalid_argument] on an empty session. *)
-
-val build :
-  ?shrink:bool ->
-  ?max_probes:int ->
-  ?extra:(string * Repro_obs.Json.t) list ->
-  Repro_core.Compc.verdict ->
-  t
-(** [build v] is {!of_session} over a session adopting [v]'s
-    already-computed state ({!Repro_core.Engine.of_parts}) — nothing is
-    recomputed. *)
-
-val provenance : t -> Repro_core.Provenance.t option
-(** The replayed provenance index ([None] on accepted verdicts). *)
-
-val edges : t -> ((id * id) * Repro_core.Reduction.edge) list
-(** The classified witness-cycle edges ([[]] on accepted verdicts). *)
-
-val shrunk : t -> Repro_core.Shrink.result option
 
 val to_json : t -> Repro_obs.Json.t
 (** Schema ["evidence/1"]: verdict, history sizes, per-level fronts, and —

@@ -442,7 +442,7 @@ let spec_of_string src =
 
 let node_name id = Fmt.str "n%d" id
 
-let print_spec h ppf = function
+let print_spec ppf = function
   | Conflict.Rw -> Fmt.string ppf "rw"
   | Conflict.Never -> Fmt.string ppf "never"
   | Conflict.Always -> Fmt.string ppf "always"
@@ -452,7 +452,6 @@ let print_spec h ppf = function
       Fmt.(list ~sep:(any ",") (pair ~sep:(any "/") string string))
       pairs
   | Conflict.Explicit pairs ->
-    ignore h;
     Fmt.pf ppf "explicit(%a)"
       Fmt.(
         list ~sep:(any ",")
@@ -467,7 +466,7 @@ let print ppf h =
      the parser rejects them; documented limitation, printed for humans. *)
   List.iter
     (fun (s : History.schedule) ->
-      Fmt.pf ppf "schedule %s conflict %a@." s.History.sname (print_spec h)
+      Fmt.pf ppf "schedule %s conflict %a@." s.History.sname print_spec
         s.History.conflict)
     (History.schedules h);
   for i = 0 to History.n_nodes h - 1 do

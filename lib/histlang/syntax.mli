@@ -108,6 +108,16 @@ val spec_of_string : string -> Repro_model.Conflict.spec
     pairs reference nodes of a history — and trailing input.  Raises
     {!Parse_error}. *)
 
+val is_name_char : char -> bool
+(** The [NAME] alphabet, [A-Za-z0-9_.'-]. *)
+
+val keywords : string list
+(** The item keywords, which a [NAME] in item position cannot be. *)
+
+val print_spec : Format.formatter -> Repro_model.Conflict.spec -> unit
+(** Print a conflict specification ([spec] in the grammar).  An
+    [explicit] spec prints its pairs over node names [n<id>]. *)
+
 val print : Format.formatter -> Repro_model.History.t -> unit
 (** Print a history in the language.  Node names are [n<id>]; the output
     includes every schedule (with its conflict specification), node, intra

@@ -20,35 +20,19 @@ module Syntax = Repro_histlang.Syntax
 module Chunks = struct
   type t = { preamble : string; chunks : string list }
 
-  (* The histlang NAME alphabet; schedule names outside it (or colliding
-     with a keyword) cannot round-trip through the textual protocol. *)
+  (* Schedule names outside the histlang NAME alphabet (or colliding with
+     a keyword) cannot round-trip through the textual protocol. *)
   let name_ok s =
     s <> ""
-    && (not
-          (List.mem s
-             [ "schedule"; "root"; "tx"; "leaf"; "order"; "intra"; "input"; "log" ]))
-    && String.for_all
-         (fun c ->
-           (c >= 'A' && c <= 'Z')
-           || (c >= 'a' && c <= 'z')
-           || (c >= '0' && c <= '9')
-           || c = '_' || c = '.' || c = '\'' || c = '-')
-         s
+    && (not (List.mem s Syntax.keywords))
+    && String.for_all Syntax.is_name_char s
 
   let spec_string = function
-    | Conflict.Rw -> "rw"
-    | Conflict.Never -> "never"
-    | Conflict.Always -> "always"
-    | Conflict.Same_item -> "same-item"
-    | Conflict.Table pairs ->
-      Fmt.str "table(%a)"
-        Fmt.(list ~sep:(any ",") (pair ~sep:(any "/") string string))
-        pairs
-    | Conflict.Adt f -> Fmt.str "%a" Repro_model.Adt.pp f
     | Conflict.Explicit _ ->
       invalid_arg
         "Server.Chunks.of_history: explicit conflict specifications reference \
          node names and cannot be streamed"
+    | spec -> Fmt.str "%a" Syntax.print_spec spec
 
   (* Split [h] into a schedule preamble plus one chunk per root
      transaction, such that [preamble ^ chunk_1 ^ .. ^ chunk_k] parses to

@@ -66,12 +66,14 @@ type params = {
   seed : int;
   certify_full_recheck : bool;
       (** {!Certify} only.  [false] (the default): certification keeps an
-          incremental {!Repro_core.Monitor} over the committed prefix —
-          append the candidate, take the verdict, undo on reject.
+          incremental {!Repro_core.Engine} session over the committed
+          prefix — extend it by the candidate, take the verdict, undo on
+          reject.
           [true]: the legacy oracle — re-run the full batch checker on the
           whole prefix at every commit attempt.  Identical verdicts (the
-          monitor's pinned equivalence), so identical simulations; the flag
-          exists for the E12 end-to-end comparison and equivalence tests. *)
+          engine's pinned verdict equivalence), so identical simulations;
+          the flag exists for the E12 end-to-end comparison and
+          equivalence tests. *)
 }
 
 val default_params : params
@@ -125,7 +127,7 @@ val run :
     record distributions; gauges [sim.makespan], [sim.mean_latency] and
     [sim.throughput] summarize the run.  The incremental certification
     path additionally feeds the [monitor.*] metrics of
-    {!Repro_core.Monitor}.
+    {!Repro_core.Engine.extend}.
 
     With [recorder] (default {!Repro_obs.Recorder.null}), the scheduling
     decisions that change an execution's fate are kept as a bounded

@@ -55,7 +55,7 @@ val populate : ?stream:bool -> Prng.t -> History.t -> History.t
     execute before operations of later ones wherever the constraints
     allow: the history looks like an execution that grew at the end, one
     root at a time — the shape the simulator emits and the incremental
-    {!Repro_core.Monitor} is built for — rather than a batch
+    {!Repro_core.Engine.extend} is built for — rather than a batch
     interleaving.  All generators below pass [stream] through. *)
 
 val flat :

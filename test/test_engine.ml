@@ -139,11 +139,9 @@ let golden_evidence =
 
 let test_evidence_golden () =
   let h = Repro_histlang.Syntax.parse figure3_text in
-  let via_build = Json.to_string (Evidence.to_json (Evidence.build (Compc.check h))) in
   let via_session =
     Json.to_string (Evidence.to_json (Evidence.of_session (Engine.of_history h)))
   in
-  Alcotest.(check string) "batch assembly matches golden" golden_evidence via_build;
   Alcotest.(check string) "session assembly matches golden" golden_evidence via_session
 
 (* ------------------------------------------------------------------ *)
@@ -205,7 +203,7 @@ let suite =
           test_equivalence_reuses_session;
         Alcotest.test_case "views inherit the conflict memo" `Quick
           test_view_transfers_memo;
-        Alcotest.test_case "evidence golden bytes (both paths)" `Quick
+        Alcotest.test_case "evidence golden bytes" `Quick
           test_evidence_golden;
       ] );
     qsuite "engine:props"

@@ -6,6 +6,7 @@ open Repro_workload
 module Rel = Repro_order.Rel
 module Int_set = Repro_order.Ids.Int_set
 module Compc = Repro_core.Compc
+module Engine = Repro_core.Engine
 module Shrink = Repro_core.Shrink
 module Observed = Repro_core.Observed
 module Reduction = Repro_core.Reduction
@@ -146,7 +147,7 @@ let get path json =
 
 let test_evidence_json_reject () =
   let h = (Figures.figure3 ()).Figures.ht in
-  let ev = Evidence.build ~shrink:true (Compc.check h) in
+  let ev = Evidence.of_session ~shrink:true (Engine.of_history h) in
   (* Round-trip through the printer and parser: the emitted document is
      machine-readable by this repo's own tooling. *)
   let json = Json.of_string (Json.to_string (Evidence.to_json ev)) in
@@ -206,7 +207,7 @@ let test_evidence_json_reject () =
 
 let test_evidence_json_accept () =
   let h = Figures.figure1 () in
-  let ev = Evidence.build (Compc.check h) in
+  let ev = Evidence.of_session (Engine.of_history h) in
   let json = Json.of_string (Json.to_string (Evidence.to_json ev)) in
   (match get [ "verdict" ] json with
   | Some (Json.String s) -> Alcotest.(check string) "verdict" "accept" s
@@ -224,7 +225,7 @@ let test_evidence_json_accept () =
 
 let test_evidence_dot () =
   let h = (Figures.figure3 ()).Figures.ht in
-  let dot = Evidence.dot (Evidence.build (Compc.check h)) in
+  let dot = Evidence.dot (Evidence.of_session (Engine.of_history h)) in
   Alcotest.(check bool) "digraph" true (contains ~needle:"digraph forest" dot);
   Alcotest.(check bool)
     "cycle nodes bordered" true (contains ~needle:"penwidth=2.5" dot);
@@ -232,7 +233,9 @@ let test_evidence_dot () =
     "cycle edges bold" true (contains ~needle:"style=bold" dot);
   Alcotest.(check bool)
     "cycle positions annotated" true (contains ~needle:"cycle[0]" dot);
-  let accept_dot = Evidence.dot (Evidence.build (Compc.check (Figures.figure1 ()))) in
+  let accept_dot =
+    Evidence.dot (Evidence.of_session (Engine.of_history (Figures.figure1 ())))
+  in
   Alcotest.(check bool)
     "no highlights on accept" false (contains ~needle:"penwidth=2.5" accept_dot)
 

@@ -1,18 +1,19 @@
-(* The incremental monitor against the batch checker: prefix-equivalence
-   on generated executions, undo semantics, the extension edge cases
-   (empty delta, first delta into a previously empty schedule, universe
-   growth from the empty prefix), and the incremental order kernel on
-   open-transaction streams — appends that land operations under {e old}
-   roots, where levels stay stable but the structural fast paths do not
-   apply. *)
+(* The incremental monitor ([Engine.extend]) against the batch checker:
+   prefix-equivalence on generated executions, undo semantics, the
+   extension edge cases (empty delta, first delta into a previously empty
+   schedule, universe growth from the empty prefix), and the incremental
+   order kernel on open-transaction streams — appends that land
+   operations under {e old} roots, where levels stay stable but the
+   structural fast paths do not apply. *)
 open Repro_model
 open Repro_workload
 module Compc = Repro_core.Compc
-module Monitor = Repro_core.Monitor
+module Engine = Repro_core.Engine
 module Observed = Repro_core.Observed
 module Rel = Repro_order.Rel
 module Metrics = Repro_obs.Metrics
 module Labels = Repro_obs.Labels
+module Sink = Repro_obs.Sink
 
 let history_of_seed seed =
   let rng = Prng.create ~seed in
@@ -26,8 +27,8 @@ let history_of_seed seed =
 let arb_seed = QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000)
 
 let accepted_verdict = function
-  | Monitor.Accepted _ -> true
-  | Monitor.Rejected _ -> false
+  | Engine.Accepted _ -> true
+  | Engine.Rejected _ -> false
 
 let n_roots h = List.length (History.roots h)
 
@@ -70,12 +71,12 @@ let test_monitor_from_empty () =
   (* Universe growth from the empty prefix: every schedule starts empty,
      so the first real append is a delta into fresh schedules. *)
   let h = stack_history () in
-  let m = Monitor.create () in
-  Alcotest.(check bool) "empty prefix accepted" true (Monitor.accepted m);
-  Alcotest.(check int) "no pairs yet" 0 (Monitor.obs_pairs m);
+  let m = Engine.create () in
+  Alcotest.(check bool) "empty prefix accepted" true (Engine.accepted m);
+  Alcotest.(check int) "no pairs yet" 0 (Engine.obs_pairs m);
   for k = 0 to n_roots h do
     let p = History.prefix_by_roots h k in
-    let v = Monitor.append m p in
+    let v = Engine.extend m p in
     Alcotest.(check bool)
       (Printf.sprintf "prefix %d verdict" k)
       (Compc.is_correct p) (accepted_verdict v)
@@ -83,50 +84,50 @@ let test_monitor_from_empty () =
 
 let test_empty_delta_fastpath () =
   let h = stack_history () in
-  let m = Monitor.create () in
+  let m = Engine.create () in
   let p = History.prefix_by_roots h 2 in
-  let v1 = Monitor.append m p in
-  let pairs = Monitor.obs_pairs m in
+  let v1 = Engine.extend m p in
+  let pairs = Engine.obs_pairs m in
   (* Re-appending the same prefix is an extension with an empty delta: the
      verdict must be carried on the fast path without a reduction. *)
-  let v2 = Monitor.append m (History.prefix_by_roots h 2) in
+  let v2 = Engine.extend m (History.prefix_by_roots h 2) in
   Alcotest.(check bool)
     "verdict unchanged" (accepted_verdict v1) (accepted_verdict v2);
-  Alcotest.(check int) "pairs unchanged" pairs (Monitor.obs_pairs m);
+  Alcotest.(check int) "pairs unchanged" pairs (Engine.obs_pairs m);
   Alcotest.(check bool)
     "fast path taken" true
-    ((Monitor.stats m).Monitor.fastpath_hits >= 1)
+    ((Engine.stats m).Engine.fastpath_hits >= 1)
 
 let test_undo_restores () =
   let h = stack_history () in
-  let m = Monitor.create () in
-  ignore (Monitor.append m (History.prefix_by_roots h 2));
-  let acc2 = Monitor.accepted m in
-  let pairs2 = Monitor.obs_pairs m in
-  let v3 = Monitor.append m (History.prefix_by_roots h 3) in
-  Monitor.undo m;
-  Alcotest.(check bool) "verdict restored" acc2 (Monitor.accepted m);
-  Alcotest.(check int) "pairs restored" pairs2 (Monitor.obs_pairs m);
+  let m = Engine.create () in
+  ignore (Engine.extend m (History.prefix_by_roots h 2));
+  let acc2 = Engine.accepted m in
+  let pairs2 = Engine.obs_pairs m in
+  let v3 = Engine.extend m (History.prefix_by_roots h 3) in
+  Engine.undo m;
+  Alcotest.(check bool) "verdict restored" acc2 (Engine.accepted m);
+  Alcotest.(check int) "pairs restored" pairs2 (Engine.obs_pairs m);
   Alcotest.(check int)
     "history restored" 2
-    (match Monitor.history m with Some p -> n_roots p | None -> -1);
+    (match Engine.history m with Some p -> n_roots p | None -> -1);
   (* Replaying the rolled-back candidate reproduces its verdict. *)
-  let v3' = Monitor.append m (History.prefix_by_roots h 3) in
+  let v3' = Engine.extend m (History.prefix_by_roots h 3) in
   Alcotest.(check bool)
     "replay agrees" (accepted_verdict v3) (accepted_verdict v3')
 
 let test_undo_depth () =
-  let m = Monitor.create () in
+  let m = Engine.create () in
   Alcotest.check_raises "undo before any append"
-    (Invalid_argument "Monitor.undo: no snapshot held (undo depth is one)")
-    (fun () -> Monitor.undo m);
+    (Invalid_argument "Engine.undo: no snapshot held (undo depth is one)")
+    (fun () -> Engine.undo m);
   let h = stack_history () in
-  ignore (Monitor.append m (History.prefix_by_roots h 1));
-  Monitor.undo m;
-  Alcotest.(check bool) "back to empty" true (Monitor.history m = None);
+  ignore (Engine.extend m (History.prefix_by_roots h 1));
+  Engine.undo m;
+  Alcotest.(check bool) "back to empty" true (Engine.history m = None);
   Alcotest.check_raises "second undo"
-    (Invalid_argument "Monitor.undo: no snapshot held (undo depth is one)")
-    (fun () -> Monitor.undo m)
+    (Invalid_argument "Engine.undo: no snapshot held (undo depth is one)")
+    (fun () -> Engine.undo m)
 
 let test_undo_refork_allocation_linear () =
   (* The certify protocol's append/undo/append shape: a re-extension of a
@@ -136,13 +137,13 @@ let test_undo_refork_allocation_linear () =
      doubling compounds (every accept-after-undo doubles the arrays), which
      once ran the simulator's 427-node committed prefix into gigabytes. *)
   let h = Gen.stack (Prng.create ~seed:7) ~levels:2 ~roots:24 in
-  let m = Monitor.create () in
-  ignore (Monitor.append m (History.prefix_by_roots h 1));
+  let m = Engine.create () in
+  ignore (Engine.extend m (History.prefix_by_roots h 1));
   let a0 = Gc.allocated_bytes () in
   for i = 2 to n_roots h do
-    ignore (Monitor.append m (History.prefix_by_roots h i));
-    Monitor.undo m;
-    ignore (Monitor.append m (History.prefix_by_roots h i))
+    ignore (Engine.extend m (History.prefix_by_roots h i));
+    Engine.undo m;
+    ignore (Engine.extend m (History.prefix_by_roots h i))
   done;
   let mb = (Gc.allocated_bytes () -. a0) /. 1048576.0 in
   Alcotest.(check bool)
@@ -151,12 +152,12 @@ let test_undo_refork_allocation_linear () =
 
 let test_non_extension_rejected () =
   let h = stack_history () in
-  let m = Monitor.create () in
-  ignore (Monitor.append m (History.prefix_by_roots h 3));
+  let m = Engine.create () in
+  ignore (Engine.extend m (History.prefix_by_roots h 3));
   Alcotest.check_raises "shrinking append"
     (Invalid_argument
        "History.extend_cache: target has fewer nodes than source") (fun () ->
-      ignore (Monitor.append m (History.prefix_by_roots h 1)))
+      ignore (Engine.extend m (History.prefix_by_roots h 1)))
 
 (* ------------------------------------------------------------------ *)
 (* The incremental order kernel: open-transaction streams               *)
@@ -238,10 +239,10 @@ let reject_stream k =
 let test_kernel_accepting_stream () =
   let rounds = 6 in
   let metrics = Metrics.create () in
-  let m = Monitor.create ~metrics () in
+  let m = Engine.create ~obs:(Sink.v ~metrics ()) () in
   for k = 1 to rounds do
     let p = open_stream k in
-    let v = Monitor.append m p in
+    let v = Engine.extend m p in
     Alcotest.(check bool)
       (Printf.sprintf "round %d matches the batch checker" k)
       (Compc.is_correct p) (accepted_verdict v);
@@ -251,22 +252,22 @@ let test_kernel_accepting_stream () =
   done;
   (* Round 1 is the initial analysis; every later round appends under the
      old root, which only the kernel path decides. *)
-  let stats = Monitor.stats m in
+  let stats = Engine.stats m in
   Alcotest.(check int) "kernel decides the open-transaction appends"
-    (rounds - 1) stats.Monitor.kernel_hits;
+    (rounds - 1) stats.Engine.kernel_hits;
   Alcotest.(check int) "labeled series agrees with the counter"
-    stats.Monitor.kernel_hits (by_path metrics "kernel");
+    stats.Engine.kernel_hits (by_path metrics "kernel");
   Alcotest.(check int) "no full reductions after the first round" 0
     (by_path metrics "full")
 
 let test_kernel_rejecting_stream () =
   let metrics = Metrics.create () in
-  let m = Monitor.create ~metrics () in
+  let m = Engine.create ~obs:(Sink.v ~metrics ()) () in
   let verdicts =
     List.map
       (fun k ->
         let p = reject_stream k in
-        let v = Monitor.append m p in
+        let v = Engine.extend m p in
         Alcotest.(check bool)
           (Printf.sprintf "round %d matches the batch checker" k)
           (Compc.is_correct p) (accepted_verdict v);
@@ -283,7 +284,7 @@ let test_kernel_rejecting_stream () =
       (accepted_verdict v3)
   | _ -> Alcotest.fail "three rounds expected");
   Alcotest.(check int) "both extensions decided by the kernel" 2
-    (Monitor.stats m).Monitor.kernel_hits
+    (Engine.stats m).Engine.kernel_hits
 
 (* The kernel's inputs: Observed.extend's reported delta is exactly the
    pairwise growth of each relation — same pairs as two full diffs of the
@@ -324,11 +325,11 @@ let prop_prefix_equivalence =
   QCheck.Test.make ~name:"monitor verdict = batch checker on every prefix"
     ~count:500 arb_seed (fun seed ->
       let h = history_of_seed seed in
-      let m = Monitor.create () in
+      let m = Engine.create () in
       let ok = ref true in
       for k = 0 to n_roots h do
         let p = History.prefix_by_roots h k in
-        let v = Monitor.append m p in
+        let v = Engine.extend m p in
         if accepted_verdict v <> Compc.is_correct p then ok := false
       done;
       !ok)
@@ -339,16 +340,16 @@ let prop_undo_roundtrip =
       let h = history_of_seed seed in
       let k = n_roots h in
       let cut = 1 + (seed mod k) in
-      let m = Monitor.create () in
+      let m = Engine.create () in
       for i = 0 to cut - 1 do
-        ignore (Monitor.append m (History.prefix_by_roots h i))
+        ignore (Engine.extend m (History.prefix_by_roots h i))
       done;
-      let acc = Monitor.accepted m in
-      let pairs = Monitor.obs_pairs m in
-      let v = Monitor.append m (History.prefix_by_roots h cut) in
-      Monitor.undo m;
-      let restored = Monitor.accepted m = acc && Monitor.obs_pairs m = pairs in
-      let v' = Monitor.append m (History.prefix_by_roots h cut) in
+      let acc = Engine.accepted m in
+      let pairs = Engine.obs_pairs m in
+      let v = Engine.extend m (History.prefix_by_roots h cut) in
+      Engine.undo m;
+      let restored = Engine.accepted m = acc && Engine.obs_pairs m = pairs in
+      let v' = Engine.extend m (History.prefix_by_roots h cut) in
       restored && accepted_verdict v = accepted_verdict v')
 
 let qsuite name tests =

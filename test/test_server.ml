@@ -7,7 +7,6 @@
 open Repro_model
 open Repro_workload
 module Engine = Repro_core.Engine
-module Monitor = Repro_core.Monitor
 module Reduction = Repro_core.Reduction
 module Server = Repro_runtime.Server
 module Syntax = Repro_histlang.Syntax
@@ -250,14 +249,14 @@ let drive server ~streams ~window =
   done;
   (data, Array.map List.rev verdicts)
 
-(* The reference sequence: a plain in-process monitor over the same
-   prefix chain. *)
+(* The reference sequence: a plain in-process monitored session over the
+   same prefix chain. *)
 let reference h =
-  let m = Monitor.create () in
+  let m = Engine.create () in
   List.init (n_roots h) (fun k ->
-      match Monitor.append m (History.prefix_by_roots h (k + 1)) with
-      | Monitor.Accepted _ -> (true, "")
-      | Monitor.Rejected f -> (false, Reduction.failure_kind f))
+      match Engine.extend m (History.prefix_by_roots h (k + 1)) with
+      | Engine.Accepted _ -> (true, "")
+      | Engine.Rejected f -> (false, Reduction.failure_kind f))
 
 let check_parity data verdicts =
   Array.iteri

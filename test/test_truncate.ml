@@ -15,7 +15,6 @@ open Repro_order
 open Repro_model
 open Repro_workload
 module Engine = Repro_core.Engine
-module Monitor = Repro_core.Monitor
 module Reduction = Repro_core.Reduction
 module Observed = Repro_core.Observed
 module Session = Repro_histlang.Syntax.Session
@@ -39,8 +38,8 @@ let n_roots h = List.length (History.roots h)
    the untruncated monitor's vs the batch checker's). *)
 let same_verdict a b =
   match (a, b) with
-  | Monitor.Accepted _, Monitor.Accepted _ -> true
-  | Monitor.Rejected f, Monitor.Rejected g ->
+  | Engine.Accepted _, Engine.Accepted _ -> true
+  | Engine.Rejected f, Engine.Rejected g ->
     Reduction.failure_kind f = Reduction.failure_kind g
   | _ -> false
 
@@ -59,13 +58,13 @@ let prop_truncation_parity =
       (* Tiny windows force truncation (and the occasional breach-and-
          restore) constantly; vary them so both regimes are hit. *)
       let window = 4 + (seed mod 13) in
-      let plain = Monitor.create () in
-      let windowed = Monitor.create ~window () in
+      let plain = Engine.create () in
+      let windowed = Engine.create ~window () in
       let ok = ref true in
       for k = 1 to n_roots h do
         let p = History.prefix_by_roots h k in
-        let v_plain = Monitor.append plain p in
-        let v_win = Monitor.append windowed p in
+        let v_plain = Engine.extend plain p in
+        let v_win = Engine.extend windowed p in
         if not (same_verdict v_plain v_win) then ok := false
       done;
       !ok)
@@ -302,19 +301,19 @@ let test_undo_at_boundary () =
 
 let test_monitor_undo_at_boundary () =
   let h = stack_history () in
-  let m = Monitor.create () in
+  let m = Engine.create () in
   for k = 1 to n_roots h do
-    ignore (Monitor.append m (History.prefix_by_roots h k))
+    ignore (Engine.extend m (History.prefix_by_roots h k))
   done;
-  Monitor.truncate m;
+  Engine.truncate m;
   Alcotest.check_raises "monitor refuses undo across the fold"
-    (Invalid_argument "Monitor.undo: cannot roll back across a truncation boundary")
-    (fun () -> Monitor.undo m);
-  (* The historical no-snapshot message is untouched. *)
-  let fresh = Monitor.create () in
-  Alcotest.check_raises "no-snapshot message unchanged"
-    (Invalid_argument "Monitor.undo: no snapshot held (undo depth is one)")
-    (fun () -> Monitor.undo fresh)
+    (Invalid_argument "Engine.undo: cannot roll back across a truncation boundary")
+    (fun () -> Engine.undo m);
+  (* A fresh session refuses with the distinct no-snapshot message. *)
+  let fresh = Engine.create () in
+  Alcotest.check_raises "no-snapshot message"
+    (Invalid_argument "Engine.undo: no snapshot held (undo depth is one)")
+    (fun () -> Engine.undo fresh)
 
 let test_truncate_idempotent () =
   let _, s = certified_session () in
