@@ -4,7 +4,21 @@
    output-file helpers.  Every subcommand module builds on these so the
    three binaries agree on behaviour at the edges. *)
 
+module Syntax = Repro_histlang.Syntax
+
 let version = "1.5.0"
+
+(* An ingestion failure as the one-line message every reader prints, as
+   [compserve] answers it: a refused extension keeps History.extend's own
+   [not an extension: ...] wording.  [line] is the stream line before a
+   chunk's first, so a chunk's parse error names the stream's line. *)
+let ingest_error ?(line = 0) = function
+  | Syntax.Parse_error e ->
+    Fmt.str "parse error: %a" Syntax.pp_error { e with line = e.line + line }
+  | Invalid_argument msg when String.starts_with ~prefix:"not an extension" msg -> msg
+  | Invalid_argument msg -> "invalid history: " ^ msg
+  | Sys_error msg -> msg
+  | e -> raise e
 
 let read_history path =
   try
@@ -22,27 +36,29 @@ let read_history path =
         end
       in
       slurp ();
-      Ok (Repro_histlang.Syntax.parse (Buffer.contents buf))
+      Ok (Syntax.parse (Buffer.contents buf))
     end
-    else Ok (Repro_histlang.Syntax.parse_file path)
-  with
-  | Repro_histlang.Syntax.Parse_error e ->
-    Error (Fmt.str "parse error: %a" Repro_histlang.Syntax.pp_error e)
-  | Invalid_argument msg -> Error (Fmt.str "invalid history: %s" msg)
-  | Sys_error msg -> Error msg
+    else Ok (Syntax.parse_file path)
+  with (Syntax.Parse_error _ | Invalid_argument _ | Sys_error _) as e ->
+    Error (ingest_error e)
 
-(* Read [path], validate against the composite-system model, and run [k] on
-   the history.  Exit-code policy: 2 on a read/parse error and on model
-   violations unless [skip_validation]; [brief] is batch mode, where
-   diagnostics become single [path: ...] lines on [ppf].  The violation
-   listing itself always goes to [eppf]. *)
-let with_history ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ~brief
-    ~skip_validation path k =
-  match read_history path with
-  | Error msg ->
-    if brief then Fmt.pf ppf "%s: error: %s@." path msg
-    else Fmt.pf eppf "compcheck: %s@." msg;
-    2
+(* A read or ingestion failure: exit 2, reported on [ppf] as a single
+   [path: error: ...] line in batch mode ([brief]), else on [eppf]. *)
+let error ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ~brief path msg =
+  if brief then Fmt.pf ppf "%s: error: %s@." path msg
+  else Fmt.pf eppf "compcheck: %s@." msg;
+  2
+
+(* The one gate between reading a history and certifying it: validate
+   [read]'s history against the composite-system model, and run [k] on
+   it.  Exit-code policy: 2 on a read/parse error and on model violations
+   unless [skip_validation]; in batch mode the violation count is one
+   [path: invalid: ...] line on [ppf].  The violation listing itself
+   always goes to [eppf]. *)
+let gate ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ~brief ~skip_validation path
+    read k =
+  match read with
+  | Error msg -> error ~ppf ~eppf ~brief path msg
   | Ok h ->
     let validation = Repro_model.Validate.check h in
     if validation <> [] then begin

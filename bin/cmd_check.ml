@@ -82,7 +82,9 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
   (* With a machine format the human verdict lines move to stderr so
      stdout is exactly one JSON document / DOT graph, pipeable as is. *)
   let hpf = if format = `Text then ppf else eppf in
-  Cli_common.with_history ~ppf ~eppf ~brief ~skip_validation path @@ fun h ->
+  Cli_common.gate ~ppf ~eppf ~brief ~skip_validation path
+    (Cli_common.read_history path)
+  @@ fun h ->
   (* A local collector exactly when --stats reads the profile back. *)
   let spans = if stats then Repro_obs.Span.create () else Repro_obs.Span.null in
   (* The caller's registry/recorder (per-item private ones in batch mode)
@@ -111,11 +113,9 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
       (Repro_histlang.Dot.forest ~obs:rel.Repro_core.Observed.obs h);
     write "-invocations.dot" (Repro_histlang.Dot.invocation_graph h)
   | None -> ());
-  let report =
-    Repro_criteria.Classic.accepted_by
-      ~compc:(Repro_core.Engine.accepted session)
-      h
-  in
+  let compc = Repro_core.Engine.accepted session in
+  (* The classic criteria run only for a query that names them. *)
+  let report = lazy (Repro_criteria.Classic.accepted_by ~compc h) in
   let shape = Repro_criteria.Shapes.classify h in
   if not brief then
     Fmt.pf hpf
@@ -124,18 +124,10 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
       (History.n_schedules h)
       (List.length (History.roots h) + List.length (History.internal_nodes h))
       (List.length (History.leaves h));
-  let criterion =
-    (* case-insensitive convenience: comp-c, scc, ... all work *)
-    let lc = String.lowercase_ascii criterion in
-    match
-      List.find_opt (fun (n, _) -> String.lowercase_ascii n = lc) report
-    with
-    | Some (n, _) -> n
-    | None -> criterion
-  in
   let verdict v = if v then "accept" else "reject" in
   match criterion with
   | "all" | "ALL" | "All" ->
+    let report = Lazy.force report in
     if brief then
       Fmt.pf ppf "%s: %a@." path
         Fmt.(
@@ -152,18 +144,26 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr) ?(obs = Repro_obs.Sink.null)
       print_introspection hpf session;
       print_lint hpf h
     end;
-    if List.assoc "Comp-C" report then 0 else 1
+    if compc then 0 else 1
   | name -> (
-    match List.assoc_opt name report with
+    (* case-insensitive convenience: comp-c, scc, ... all work *)
+    let lc = String.lowercase_ascii name in
+    match
+      if lc = "comp-c" then Some ("Comp-C", compc)
+      else
+        List.find_opt
+          (fun (n, _) -> String.lowercase_ascii n = lc)
+          (Lazy.force report)
+    with
     | None ->
       Fmt.pf eppf
         "compcheck: criterion %S does not apply to this configuration \
          (available: %a)@."
         name
         Fmt.(list ~sep:comma string)
-        (List.map fst report);
+        (List.map fst (Lazy.force report));
       2
-    | Some v ->
+    | Some (name, v) ->
       if brief then Fmt.pf ppf "%s: %s: %s@." path name (verdict v)
       else Fmt.pf hpf "%s: %s@." name (verdict v);
       if explain && name = "Comp-C" then

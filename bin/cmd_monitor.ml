@@ -1,12 +1,15 @@
 (* The monitor subcommand: streaming certification of one history's
-   root-prefix chain.  The k-prefix is certified by one incremental
-   {!Repro_core.Engine.extend} against the (k-1)-prefix's warm state, and
-   the loop stops at the first violating prefix index — the monitoring
-   story of the checker: "which commit broke the execution", not just "is
-   the final history correct".  The evidence report for the stopping
-   prefix is assembled from the same session: the incrementally maintained
-   relations stay warm and only the certificate is (lazily) derived over
-   them.
+   extension chain.  On a file the chain is the root prefixes
+   ({!History.prefix_by_roots}); on stdin it is the history after each
+   certified chunk of text, grown by [Syntax.Session.feed] as [compserve]
+   grows a stream (see [run_stream]).  Each step is certified by one
+   incremental {!Repro_core.Engine.extend} against the previous step's
+   warm state, and the loop stops at the first violating step — the
+   monitoring story of the checker: "which commit broke the execution",
+   not just "is the final history correct".  The evidence report for the
+   stopping step is assembled from the same session: the incrementally
+   maintained relations stay warm and only the certificate is (lazily)
+   derived over them.
 
    Production observability: the session always carries a flight recorder
    (bounded ring, so always-on costs O(capacity) memory), and a rejection's
@@ -19,6 +22,7 @@ open Repro_model
 module Json = Repro_obs.Json
 module Metrics = Repro_obs.Metrics
 module Span = Repro_obs.Span
+module Session = Repro_histlang.Syntax.Session
 
 (* One monitor append = one trace: mint a fresh trace id and set it as
    the collector's ambient context around the engine call, so the engine
@@ -162,15 +166,29 @@ let session ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
   in
   (step, accept)
 
-(* Streaming mode (path "-"): certify appends as they arrive on stdin
-   instead of slurping the whole description first, so live streams can
-   be piped into the monitor (and into the compserve smoke tests).  A
-   flush point is the arrival of each new root declaration — chunked
-   streams are root-major, so each flush certifies exactly one more
-   root.  A prefix that does not yet parse, is not yet model-valid, or
-   adds no nodes simply defers to the next flush point; a printed
-   history whose order lines all trail the node declarations therefore
-   certifies once, at end of stream — the historical slurp behaviour. *)
+(* The item keyword a line starts with: its first run of name
+   characters (["order!"] gives ["order"]). *)
+let keyword line =
+  let line = String.trim line in
+  let n = ref 0 in
+  while !n < String.length line && Repro_histlang.Syntax.is_name_char line.[!n] do
+    incr n
+  done;
+  String.sub line 0 !n
+
+(* Streaming mode (path "-"): certify appends as they arrive on stdin, so
+   live streams can be piped into the monitor.  Stdin is cut into chunks,
+   each ending at a [root] line that follows one of its relation lines,
+   so a root-major stream such as [Server.Chunks]'s is cut once per root
+   that carries relation lines.  A chunk is fed alone to the stream's
+   [Syntax.Session], the ingestion [compserve] appends go through, and
+   is certified once it parses, adds nodes and (unless
+   [skip_validation]) leaves the history model-valid; otherwise it waits
+   and merges with the next chunk.  A printed history, whose relation
+   lines all trail its nodes, is therefore one chunk, certified at end
+   of stream.  A chunk refused as not an extension stays refused
+   whatever follows, so the run ends there with exit 2.  End of stream
+   goes through the same gate as a file. *)
 let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
     ?(obs = Repro_obs.Sink.null) ?(progress = Cli_common.Progress.null)
     ?window ~brief explain format shrink skip_validation () =
@@ -178,84 +196,73 @@ let run_stream ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
     session ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
       ~path:"-" ~unit:"append" ~total:None
   in
-  let text = Buffer.create 4096 in
-  let nodes = ref 0 in
-  let appends = ref 0 in
-  (* One certification attempt over the accumulated text.  [`Deferred]
-     folds three mid-stream states — unparseable yet, model-invalid yet,
-     no new nodes — that all mean "wait for more input". *)
-  let try_append () =
-    match Repro_histlang.Syntax.parse (Buffer.contents text) with
-    | exception Repro_histlang.Syntax.Parse_error _ -> `Deferred
-    | exception Invalid_argument _ -> `Deferred
-    | h ->
-      if History.n_nodes h <= !nodes then `Deferred
-      else if
-        (not skip_validation) && Repro_model.Validate.check h <> []
-      then `Deferred
-      else begin
-        nodes := History.n_nodes h;
-        incr appends;
-        match step !appends h with Some c -> `Reject c | None -> `Ok
-      end
+  let session = ref (Session.empty ()) and appends = ref 0 in
+  let nodes () = History.n_nodes (Session.history !session) in
+  let chunk = Buffer.create 4096 in
+  (* Stream lines read, those before the chunk's first, and whether the
+     chunk holds a relation line. *)
+  let lines = ref 0 and start = ref 0 and related = ref false in
+  let fail msg =
+    Cli_common.Progress.finish progress;
+    Cli_common.error ~ppf ~eppf ~brief "-" msg
   in
-  let is_root_line line =
-    let n = String.length line in
-    let i = ref 0 in
-    while !i < n && (line.[!i] = ' ' || line.[!i] = '\t') do
-      incr i
-    done;
-    !i + 4 <= n
-    && String.sub line !i 4 = "root"
-    && (!i + 4 = n || line.[!i + 4] = ' ' || line.[!i + 4] = '\t')
+  let feed () =
+    match Session.feed !session (Buffer.contents chunk) with
+    | next -> Ok next
+    | exception ((Repro_histlang.Syntax.Parse_error _ | Invalid_argument _) as e) ->
+      Error (Cli_common.ingest_error ~line:!start e)
   in
-  let roots_seen = ref 0 in
+  (* Certify [next] as the next append and start a new chunk; [Some
+     code] ends the run.  The engine refuses a schedule declared after
+     the first append, which no later chunk can undo either. *)
+  let certify next =
+    incr appends;
+    match step !appends (Session.history next) with
+    | exception Invalid_argument msg -> Some (fail ("not an extension: " ^ msg))
+    | Some code -> Some code
+    | None ->
+      session := next;
+      Buffer.clear chunk;
+      start := !lines;
+      related := false;
+      None
+  in
+  let cut () =
+    match feed () with
+    | Error msg when String.starts_with ~prefix:"not an extension" msg ->
+      Some (fail msg)
+    | Error _ -> None
+    | Ok next ->
+      let h = Session.history next in
+      if
+        History.n_nodes h = nodes ()
+        || ((not skip_validation) && Repro_model.Validate.check h <> [])
+      then None
+      else certify next
+  in
   let rec pump () =
     match input_line stdin with
     | exception End_of_file -> finish ()
-    | line ->
-      let flush_now = is_root_line line && !roots_seen > 0 in
-      let code = if flush_now then try_append () else `Deferred in
-      if is_root_line line then incr roots_seen;
-      Buffer.add_string text line;
-      Buffer.add_char text '\n';
-      (match code with `Reject c -> c | `Ok | `Deferred -> pump ())
+    | text -> (
+      let kw = keyword text in
+      match if !related && kw = "root" then cut () else None with
+      | Some code -> code
+      | None ->
+        incr lines;
+        Buffer.add_string chunk text;
+        Buffer.add_char chunk '\n';
+        (match kw with
+        | "order" | "intra" | "input" | "log" -> related := true
+        | _ -> ());
+        pump ())
   and finish () =
-    (* End of stream: the full description must parse and validate (the
-       same gate the file path applies up front), then the final prefix
-       is certified. *)
-    match Repro_histlang.Syntax.parse (Buffer.contents text) with
-    | exception Repro_histlang.Syntax.Parse_error e ->
-      Cli_common.Progress.finish progress;
-      let msg = Fmt.str "parse error: %a" Repro_histlang.Syntax.pp_error e in
-      if brief then Fmt.pf ppf "-: error: %s@." msg
-      else Fmt.pf eppf "compcheck: %s@." msg;
-      2
-    | exception Invalid_argument msg ->
-      Cli_common.Progress.finish progress;
-      if brief then Fmt.pf ppf "-: error: invalid history: %s@." msg
-      else Fmt.pf eppf "compcheck: invalid history: %s@." msg;
-      2
-    | h ->
-      let validation = Repro_model.Validate.check h in
-      if validation <> [] && not skip_validation then begin
-        Cli_common.Progress.finish progress;
-        if brief then
-          Fmt.pf ppf "-: invalid: %d model violation%s@." (List.length validation)
-            (if List.length validation = 1 then "" else "s")
-        else begin
-          Fmt.pf eppf "history violates the composite-system model (Defs. 3-4):@.";
-          List.iter
-            (fun e -> Fmt.pf eppf "  %a@." (Repro_model.Validate.pp_error h) e)
-            validation
-        end;
-        2
-      end
-      else begin
-        match (if History.n_nodes h > !nodes then try_append () else `Ok) with
-        | `Reject c -> c
-        | `Ok | `Deferred -> accept !appends h
-      end
+    Cli_common.Progress.finish progress;
+    let read = feed () in
+    Cli_common.gate ~ppf ~eppf ~brief ~skip_validation "-"
+      (Result.map Session.history read)
+    @@ fun h ->
+    let last = if History.n_nodes h > nodes () then certify (Result.get_ok read) else None in
+    match last with Some code -> code | None -> accept !appends h
   in
   pump ()
 
@@ -266,7 +273,9 @@ let run ?(ppf = Fmt.stdout) ?(eppf = Fmt.stderr)
     run_stream ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink
       skip_validation ()
   else
-  Cli_common.with_history ~ppf ~eppf ~brief ~skip_validation path @@ fun h ->
+  Cli_common.gate ~ppf ~eppf ~brief ~skip_validation path
+    (Cli_common.read_history path)
+  @@ fun h ->
   let n = List.length (History.roots h) in
   let step, accept =
     session ~ppf ~eppf ~obs ~progress ?window ~brief explain format shrink

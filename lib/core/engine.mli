@@ -31,10 +31,13 @@
     current one: same schedules in the same order; shared nodes keep their
     identifiers, labels, parents and children; new nodes have strictly
     larger identifiers; relations and logs restricted to shared nodes are
-    unchanged.  {!History.prefix_by_roots} chains and the simulator's
-    deterministic assembly produce exactly this shape.  The cheap
-    violations (shrinking, schedule mismatch) raise [Invalid_argument];
-    the rest is the caller's responsibility.
+    unchanged.  Production callers build their chains with one of two
+    builders: {!History.prefix_by_roots} (file-mode [compcheck --monitor])
+    and {!History.extend}, through [Syntax.Session.feed] ([compserve]
+    appends and [compcheck --monitor -]), which refuses a chunk that is
+    not an extension.  The simulator's deterministic assembly produces
+    the same shape.  The cheap violations (shrinking, schedule mismatch)
+    raise [Invalid_argument]; the rest is the caller's responsibility.
 
     {b Verdict equivalence.}  After any sequence of {!extend}s the
     session's verdict equals {!Compc.is_correct} on its current history —

@@ -3,14 +3,9 @@ open Ids
 
 type error =
   | Cyclic_order of { sched : History.sched_id; which : string; cycle : id list }
-  | Strong_not_in_weak of { sched : History.sched_id; which : string; pair : id * id }
-  | Input_order_violated of { sched : History.sched_id; txs : id * id; ops : id * id }
   | Unordered_conflict of { sched : History.sched_id; ops : id * id }
-  | Intra_order_dropped of { sched : History.sched_id; tx : id; pair : id * id; strong : bool }
-  | Strong_input_not_expanded of { sched : History.sched_id; txs : id * id; ops : id * id }
   | Log_contradicts_output of { sched : History.sched_id; ops : id * id }
   | Log_contradicts_strong of { sched : History.sched_id; ops : id * id }
-  | Input_not_inherited of { parent : History.sched_id; child : History.sched_id; ops : id * id }
 
 let pp_error h ppf e =
   let sname s = (History.schedule h s).History.sname in
@@ -19,26 +14,9 @@ let pp_error h ppf e =
   | Cyclic_order { sched; which; cycle } ->
     Fmt.pf ppf "schedule %s: %s order is cyclic: %a" (sname sched) which
       Fmt.(list ~sep:(any " -> ") pn) cycle
-  | Strong_not_in_weak { sched; which; pair = a, b } ->
-    Fmt.pf ppf "schedule %s: strong %s pair %a -> %a missing from weak order"
-      (sname sched) which pn a pn b
-  | Input_order_violated { sched; txs = t, t'; ops = o, o' } ->
-    Fmt.pf ppf
-      "schedule %s: input order %a -> %a not honoured on conflicting operations %a, %a"
-      (sname sched) pn t pn t' pn o pn o'
   | Unordered_conflict { sched; ops = o, o' } ->
     Fmt.pf ppf "schedule %s: conflicting operations %a, %a left unordered"
       (sname sched) pn o pn o'
-  | Intra_order_dropped { sched; tx; pair = a, b; strong } ->
-    Fmt.pf ppf
-      "schedule %s: %s intra-transaction order %a -> %a of %a missing from output"
-      (sname sched)
-      (if strong then "strong" else "weak")
-      pn a pn b pn tx
-  | Strong_input_not_expanded { sched; txs = t, t'; ops = o, o' } ->
-    Fmt.pf ppf
-      "schedule %s: strong input order %a -> %a not expanded to operations %a, %a"
-      (sname sched) pn t pn t' pn o pn o'
   | Log_contradicts_output { sched; ops = o, o' } ->
     Fmt.pf ppf
       "schedule %s: output claims %a before %a but the log executed them conflicting in the other order"
@@ -47,9 +25,6 @@ let pp_error h ppf e =
     Fmt.pf ppf
       "schedule %s: strong output claims %a strictly before %a but the log executed them in the other order"
       (sname sched) pn o pn o'
-  | Input_not_inherited { parent; child; ops = o, o' } ->
-    Fmt.pf ppf "schedule %s: output pair %a -> %a not inherited by schedule %s"
-      (sname parent) pn o pn o' (sname child)
 
 let check_schedule h (s : History.schedule) errs =
   let errs = ref errs in
@@ -63,29 +38,6 @@ let check_schedule h (s : History.schedule) errs =
   cyclic "strong-in" s.strong_in;
   cyclic "weak-out" s.weak_out;
   cyclic "strong-out" s.strong_out;
-  Rel.iter
-    (fun a b ->
-      if not (Rel.mem a b s.weak_in) then
-        add (Strong_not_in_weak { sched = s.sid; which = "input"; pair = (a, b) }))
-    s.strong_in;
-  Rel.iter
-    (fun a b ->
-      if not (Rel.mem a b s.weak_out) then
-        add (Strong_not_in_weak { sched = s.sid; which = "output"; pair = (a, b) }))
-    s.strong_out;
-  (* Conditions 1a/1b: conflicting operations of input-ordered transactions
-     must follow the input order. *)
-  Rel.iter
-    (fun t t' ->
-      List.iter
-        (fun o ->
-          List.iter
-            (fun o' ->
-              if History.conflicts h s.sid o o' && not (Rel.mem o o' s.weak_out)
-              then add (Input_order_violated { sched = s.sid; txs = (t, t'); ops = (o, o') }))
-            (History.children h t'))
-        (History.children h t))
-    s.weak_in;
   (* Condition 1c: every conflicting pair of different transactions is
      ordered one way or the other. *)
   let ops = Array.of_list (History.ops_of_schedule h s.sid) in
@@ -100,37 +52,8 @@ let check_schedule h (s : History.schedule) errs =
       then add (Unordered_conflict { sched = s.sid; ops = (o, o') })
     done
   done;
-  (* Condition 2: output orders extend intra-transaction orders. *)
-  Int_set.iter
-    (fun t ->
-      let node = History.node h t in
-      Rel.iter
-        (fun a b ->
-          if not (Rel.mem a b s.weak_out) then
-            add (Intra_order_dropped { sched = s.sid; tx = t; pair = (a, b); strong = false }))
-        node.History.intra_weak;
-      Rel.iter
-        (fun a b ->
-          if not (Rel.mem a b s.strong_out) then
-            add (Intra_order_dropped { sched = s.sid; tx = t; pair = (a, b); strong = true }))
-        node.History.intra_strong)
-    s.transactions;
-  (* Condition 3: strong input orders expand over all operation pairs. *)
-  Rel.iter
-    (fun t t' ->
-      List.iter
-        (fun o ->
-          List.iter
-            (fun o' ->
-              if not (Rel.mem o o' s.strong_out) then
-                add
-                  (Strong_input_not_expanded
-                     { sched = s.sid; txs = (t, t'); ops = (o, o') }))
-            (History.children h t'))
-        (History.children h t))
-    s.strong_in;
   (* The log, when present, must agree with the weak output order on
-     conflicting pairs. *)
+     conflicting pairs and with the strong output order on every pair. *)
   (match s.log with
   | [] -> ()
   | log ->
@@ -153,30 +76,8 @@ let check_schedule h (s : History.schedule) errs =
       s.strong_out);
   !errs
 
-let check_inheritance h errs =
-  (* Def. 4.7: when two output-ordered operations of one schedule are both
-     transactions of another, the order must appear in the latter's input. *)
-  let errs = ref errs in
-  List.iter
-    (fun (s : History.schedule) ->
-      Rel.iter
-        (fun o o' ->
-          match (History.sched_of_tx h o, History.sched_of_tx h o') with
-          | Some c, Some c' when c = c' ->
-            let child = History.schedule h c in
-            if not (Rel.mem o o' child.History.weak_in) then
-              errs :=
-                Input_not_inherited { parent = s.sid; child = c; ops = (o, o') }
-                :: !errs
-          | _ -> ())
-        s.weak_out)
-    (History.schedules h);
-  !errs
-
 let check h =
-  let errs = List.fold_left (fun acc s -> check_schedule h s acc) [] (History.schedules h) in
-  let errs = check_inheritance h errs in
-  List.rev errs
+  List.rev (List.fold_left (fun acc s -> check_schedule h s acc) [] (History.schedules h))
 
 let is_valid h = check h = []
 

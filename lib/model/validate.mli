@@ -1,22 +1,24 @@
 (** Well-formedness of composite executions against Defs. 3–4.
 
-    {!History.Builder.seal} already guarantees the structural conditions
-    (tree shape, acyclic invocation graph, orders over the right carriers)
-    and performs order completion.  This module checks the remaining
-    semantic conditions that a set of well-behaved schedulers must satisfy,
-    and reports every violation:
+    {!History.Builder.seal} (and {!History.extend}, delta by delta)
+    already guarantees the structural conditions (tree shape, acyclic
+    invocation graph, orders over the right carriers) and completes the
+    orders: strong is contained in weak, output orders extend
+    intra-transaction orders (Def. 3, condition 2), strong input orders
+    expand to strong output orders (condition 3), conflicting operations
+    of weakly-input-ordered transactions are output-ordered the same way
+    (condition 1a/1b), and clients' output orders are passed down as
+    input orders (Def. 4.7) — a qcheck property in [test/test_model.ml]
+    pins these on every sealed history.  This module checks what
+    completion cannot establish from the declarations, and reports every
+    violation:
 
-    - output orders are partial orders (irreflexive after transitive
-      closure) and strong is contained in weak (Def. 3, conditions 1–4);
-    - conflicting operations of weakly-input-ordered transactions are
-      output-ordered the same way (condition 1a/1b);
+    - input and output orders are partial orders (acyclic after
+      transitive closure);
     - conflicting operations of different, unordered transactions are
       output-ordered one way or the other (condition 1c);
-    - output orders extend intra-transaction orders (condition 2);
-    - strong input orders expand to strong output orders (condition 3);
     - execution logs, when present, agree with the weak output order on
-      conflicting pairs and with the strong output order on every pair;
-    - clients' output orders were passed down as input orders (Def. 4.7). *)
+      conflicting pairs and with the strong output order on every pair. *)
 
 open Repro_order.Ids
 
@@ -24,15 +26,9 @@ type error =
   | Cyclic_order of { sched : History.sched_id; which : string; cycle : id list }
       (** An input or output order of the schedule has a cycle ([which] is
           one of ["weak-in"], ["strong-in"], ["weak-out"], ["strong-out"]). *)
-  | Strong_not_in_weak of { sched : History.sched_id; which : string; pair : id * id }
-  | Input_order_violated of { sched : History.sched_id; txs : id * id; ops : id * id }
-      (** Transactions were weakly input-ordered but a conflicting operation
-          pair is ordered against them (or left unordered). *)
   | Unordered_conflict of { sched : History.sched_id; ops : id * id }
       (** A conflicting operation pair of different transactions that the
           schedule failed to order (condition 1c). *)
-  | Intra_order_dropped of { sched : History.sched_id; tx : id; pair : id * id; strong : bool }
-  | Strong_input_not_expanded of { sched : History.sched_id; txs : id * id; ops : id * id }
   | Log_contradicts_output of { sched : History.sched_id; ops : id * id }
       (** The weak output order claims [fst ops] before [snd ops] although
           they conflict and the log executed them in the other order. *)
@@ -40,9 +36,6 @@ type error =
       (** The strong output order claims strict temporal precedence of
           [fst ops] but the log executed [snd ops] first (strong orders
           bind every pair, commuting or not). *)
-  | Input_not_inherited of { parent : History.sched_id; child : History.sched_id; ops : id * id }
-      (** Def. 4.7: a client's output pair over two transactions of [child]
-          does not appear in [child]'s input order. *)
 
 val pp_error : History.t -> Format.formatter -> error -> unit
 

@@ -259,6 +259,169 @@ let test_validate_input_order_violated () =
   Alcotest.(check bool) "as a cyclic output (auto-completed) " true
     (List.exists (function Validate.Cyclic_order _ -> true | _ -> false) errs)
 
+(* ------------------------------------------------------------------ *)
+(* What seal establishes by construction                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The five conditions of Defs. 3–4 that [Builder.seal] and
+   [History.extend] establish by order completion, so [Validate] does
+   not re-check them: strong ⊆ weak (input and output), output orders
+   extend intra orders, strong input orders expand to strong output
+   orders, conflicting operations follow the weak input order, and
+   clients' output orders are inherited as input orders (Def. 4.7).
+   Answers the first violation found. *)
+let completion_violation h =
+  let found = ref None in
+  let fail fmt = Fmt.kstr (fun m -> if !found = None then found := Some m) fmt in
+  let contained what r r' =
+    Rel.iter (fun a b -> if not (Rel.mem a b r') then fail "%s: %d < %d missing" what a b) r
+  in
+  let over_ops t t' f =
+    List.iter (fun o -> List.iter (f o) (History.children h t')) (History.children h t)
+  in
+  List.iter
+    (fun (s : History.schedule) ->
+      let name what = Fmt.str "schedule %s: %s" s.History.sname what in
+      contained (name "strong in weak input") s.History.strong_in s.History.weak_in;
+      contained (name "strong in weak output") s.History.strong_out s.History.weak_out;
+      Ids.Int_set.iter
+        (fun t ->
+          let n = History.node h t in
+          contained (name "weak intra in output") n.History.intra_weak s.History.weak_out;
+          contained (name "strong intra in output") n.History.intra_strong s.History.strong_out)
+        s.History.transactions;
+      Rel.iter
+        (fun t t' ->
+          over_ops t t' (fun o o' ->
+              if not (Rel.mem o o' s.History.strong_out) then
+                fail "%s %d < %d" (name "strong input not expanded to") o o'))
+        s.History.strong_in;
+      Rel.iter
+        (fun t t' ->
+          over_ops t t' (fun o o' ->
+              if History.conflicts h s.History.sid o o' && not (Rel.mem o o' s.History.weak_out)
+              then fail "%s %d < %d" (name "input order not followed on") o o'))
+        s.History.weak_in;
+      Rel.iter
+        (fun o o' ->
+          match (History.sched_of_tx h o, History.sched_of_tx h o') with
+          | Some c, Some c' when c = c' ->
+            if not (Rel.mem o o' (History.schedule h c).History.weak_in) then
+              fail "%s %d < %d" (name "output pair not inherited:") o o'
+          | _ -> ())
+        s.History.weak_out)
+    (History.schedules h);
+  !found
+
+(* Random builder input: one to three schedules, each transaction's
+   operations leaves or subtransactions of later schedules (so the
+   invocation graph is acyclic), explicit weak and strong output pairs,
+   intra pairs and root input pairs drawn at random (cycles included),
+   and now and then a schedule's log. *)
+let random_sealed seed =
+  let open Repro_workload in
+  let rng = Prng.create ~seed in
+  let b = B.create () in
+  let k = 1 + Prng.int rng 3 in
+  let specs =
+    [ Conflict.Rw; Conflict.Never; Conflict.Always; Conflict.Same_item; Conflict.Adt Adt.Counter ]
+  in
+  let scheds =
+    Array.init k (fun i -> B.schedule b ~conflict:(Prng.pick rng specs) (Fmt.str "S%d" i))
+  in
+  let labels =
+    [ Label.read "x"; Label.write "x"; Label.read "y"; Label.write "y"; Label.v ~args:[ "x" ] "inc";
+      Label.v ~args:[ "x" ] "get" ]
+  in
+  let ops = Array.make k [] and roots = Array.make k [] in
+  let pairs l f =
+    let a = Array.of_list l in
+    if Array.length a > 1 then
+      for _ = 1 to Prng.int rng (2 * Array.length a) do
+        let x = Prng.pick_arr rng a and y = Prng.pick_arr rng a in
+        if x <> y then f x y
+      done
+  in
+  let rec grow parent s =
+    let kids =
+      List.init (1 + Prng.int rng 3) (fun _ ->
+          let label = Prng.pick rng labels in
+          if s + 1 < k && Prng.chance rng 0.5 then begin
+            let s' = s + 1 + Prng.int rng (k - s - 1) in
+            let t = B.tx b ~parent ~sched:scheds.(s') label in
+            grow t s';
+            t
+          end
+          else B.leaf b ~parent label)
+    in
+    ops.(s) <- kids @ ops.(s);
+    pairs kids (fun a b' ->
+        if Prng.bool rng then B.intra_weak b ~a ~b:b' else B.intra_strong b ~a ~b:b')
+  in
+  for _ = 1 to 2 + Prng.int rng 3 do
+    let s = Prng.int rng k in
+    let r = B.root b ~sched:scheds.(s) (Label.v "T") in
+    roots.(s) <- r :: roots.(s);
+    grow r s
+  done;
+  for s = 0 to k - 1 do
+    if Prng.chance rng 0.3 then B.log b ~sched:scheds.(s) (Prng.permutation rng ops.(s))
+    else
+      pairs ops.(s) (fun a b' ->
+          if Prng.chance rng 0.3 then B.strong_out b ~a ~b:b' else B.weak_out b ~a ~b:b');
+    pairs roots.(s) (fun a b' ->
+        if Prng.chance rng 0.3 then B.input_strong b ~a ~b:b' else B.input_weak b ~a ~b:b')
+  done;
+  B.seal b
+
+(* Seeds 0 .. shapes × specs - 1 first, so each run meets every [Gen]
+   shape under every streamable spec; random seeds follow. *)
+let completion_seeds =
+  let sweep = Test_session.n_shapes * List.length Test_session.specs and next = ref 0 in
+  fun st ->
+    if !next < sweep then begin
+      incr next;
+      !next - 1
+    end
+    else QCheck.Gen.int_bound 1_000_000 st
+
+(* Every sealed history satisfies the five conditions: a random builder's,
+   a [Gen] history's, and each history along a [Syntax.Session] chain of
+   the latter's chunks (sealed delta by delta through [History.extend]). *)
+let prop_seal_completes =
+  QCheck.Test.make ~count:400 ~name:"seal establishes what Validate no longer checks"
+    (QCheck.make ~print:string_of_int completion_seeds)
+    (fun seed ->
+      let rng = Repro_workload.Prng.create ~seed in
+      let shape = seed mod Test_session.n_shapes in
+      let conflict =
+        List.nth Test_session.specs
+          (seed / Test_session.n_shapes mod List.length Test_session.specs)
+      in
+      let h = Test_session.history ~shape ~conflict rng in
+      let chunks =
+        if Repro_workload.Prng.bool rng then Test_session.stream_chunks h
+        else Test_session.fine_chunks rng h
+      in
+      (* The chain up to the first chunk the session refuses: a refusal
+         seals nothing. *)
+      let rec chain s = function
+        | [] -> []
+        | chunk :: rest -> (
+          match Test_session.Session.feed s chunk with
+          | exception Invalid_argument _ -> []
+          | s -> Test_session.Session.history s :: chain s rest)
+      in
+      let chain = chain (Test_session.Session.empty ()) chunks in
+      match
+        List.find_map
+          (fun (what, h) -> Option.map (fun m -> (what, m)) (completion_violation h))
+          (("builder", random_sealed seed) :: ("gen", h)
+          :: List.map (fun h -> ("session", h)) chain)
+      with
+      | None -> true
+      | Some (what, m) -> QCheck.Test.fail_reportf "seed %d, %s history: %s" seed what m)
+
 let test_builder_misuse () =
   let b = B.create () in
   let s = B.schedule b ~conflict:Conflict.Rw "S" in
@@ -365,4 +528,5 @@ let suite =
         Alcotest.test_case "clone round-trips" `Quick test_clone_roundtrip;
         Alcotest.test_case "shape recognizers" `Quick test_shapes;
       ] );
+    ("model:props", [ QCheck_alcotest.to_alcotest prop_seal_completes ]);
   ]
