@@ -2119,7 +2119,12 @@ let e20 () =
    The same histories also go through a windowed engine session (window
    64), which prices certification on that stream and counts how often
    its folds are undone: a restore recomputes the whole prefix's
-   closure, so CI gates restores per append at the deepest row. *)
+   closure, so CI gates restores per append at the deepest row.  The
+   session runs with a metrics registry, as in compserve, and its
+   coverage says how [Observed.extend] found each append's new pairs:
+   every history here comes from [Syntax.Session], so CI fails any row
+   where one was found by walking every schedule instead of through the
+   converse index. *)
 
 let e21_chunks ~roots =
   let rng = Prng.create ~seed:21 in
@@ -2173,10 +2178,12 @@ let e21 () =
     \  adds; they grow with the item chains (ROADMAP item 4), and the@.\
     \  session's words grow with them.  The engine columns feed each@.\
     \  session history to Engine.create ~window:64 (); CI gates its@.\
-    \  restores per append at 1024 roots (at most 0.01).@.";
-  Fmt.pr "  %-6s %8s %9s %14s %11s %7s %14s %11s %12s %9s %8s %6s %6s@." "roots"
+    \  restores per append at 1024 roots (at most 0.01) and its scans@.\
+    \  (appends whose new pairs were found by walking every schedule@.\
+    \  rather than through the converse index) at 0 on every row.@.";
+  Fmt.pr "  %-6s %8s %9s %14s %11s %7s %14s %11s %12s %9s %8s %6s %6s %6s@." "roots"
     "appends" "text-KB" "session-words" "session-us" "pairs" "reparse-words"
-    "reparse-us" "engine-words" "engine-us" "restores" "folds" "kernel";
+    "reparse-us" "engine-words" "engine-us" "restores" "folds" "kernel" "scans";
   let measure f =
     let w0 = Gc.minor_words () in
     let t0 = now_wall () in
@@ -2247,7 +2254,8 @@ let e21 () =
            compserve's default window would certify it.  A second session
            pass feeds the engine, so its memo never warms the timed
            session above. *)
-        let eng = Engine.create ~window:64 () in
+        let metrics = Metrics.create () in
+        let eng = Engine.create ~obs:(Repro_obs.Sink.v ~metrics ()) ~window:64 () in
         let session = ref (Repro_histlang.Syntax.Session.empty ()) in
         let ew = ref [] and et = ref [] in
         Array.iteri
@@ -2267,13 +2275,16 @@ let e21 () =
         let restores = Engine.restores eng in
         let truncations = Engine.truncations eng in
         let kernel_hits = (Engine.stats eng).Engine.kernel_hits in
+        let coverage = Repro_obs.Coverage.of_metrics metrics in
+        let scans = List.assoc "engine.delta.via.scan" coverage in
+        let indexed = List.assoc "engine.delta.via.index" coverage in
         let sw = e21_median !sw and st = e21_median !st and sp = e21_median !sp in
         let rw = e21_median !rw and rt = e21_median !rt in
         let ew = e21_median !ew and et = e21_median !et in
-        Fmt.pr "  %-6d %8d %9.1f %14.0f %11.1f %7.0f %14.0f %11.1f %12.0f %9.1f %8d %6d %6d@."
+        Fmt.pr "  %-6d %8d %9.1f %14.0f %11.1f %7.0f %14.0f %11.1f %12.0f %9.1f %8d %6d %6d %6d@."
           roots n
           (float_of_int (Buffer.length text) /. 1024.0) sw st sp rw rt ew et restores
-          truncations kernel_hits;
+          truncations kernel_hits scans;
         ( roots,
           ( Fmt.str "roots-%d" roots,
             Json.Obj
@@ -2292,6 +2303,8 @@ let e21 () =
                 ("engine_restores", Json.Int restores);
                 ("engine_truncations", Json.Int truncations);
                 ("engine_kernel_hits", Json.Int kernel_hits);
+                ("engine_delta_scans", Json.Int scans);
+                ("engine_delta_index", Json.Int indexed);
               ] ) ))
       [ 64; 256; 1024 ]
   in

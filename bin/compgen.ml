@@ -59,7 +59,7 @@ let schedules_arg =
 let conflict_arg =
   let doc =
     "Conflict specification for the generated schedules, in .ct syntax: \
-     never, always, rw, same_item, counter, queue, set, escrow, \
+     never, always, rw, same-item, counter, queue, set, escrow, \
      table(...), or adt(...).  The shape decides which schedules it \
      replaces (stack: the bottom store; fork: the branches; join: the \
      joined store; flat and general: all of them); leaf labels are drawn \

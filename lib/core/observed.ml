@@ -20,21 +20,20 @@ type relations = {
      (leaves are atomic; their order is an execution fact);
    - rule 2: a conflicting weak-output pair orders the parents (the
      schedule's serialization decision, pulled up one level). *)
+let base_pair h sid o o' acc =
+  let acc =
+    if History.is_leaf h o || History.is_leaf h o' then Rel.add o o' acc else acc
+  in
+  if History.conflicts h sid o o' then begin
+    let p = History.parent_tx h o and p' = History.parent_tx h o' in
+    if p <> p' then Rel.add p p' acc else acc
+  end
+  else acc
+
 let base_rules h =
   List.fold_left
     (fun acc (s : History.schedule) ->
-      Rel.fold
-        (fun o o' acc ->
-          let acc =
-            if History.is_leaf h o || History.is_leaf h o' then Rel.add o o' acc
-            else acc
-          in
-          if History.conflicts h s.History.sid o o' then begin
-            let p = History.parent_tx h o and p' = History.parent_tx h o' in
-            if p <> p' then Rel.add p p' acc else acc
-          end
-          else acc)
-        s.History.weak_out acc)
+      Rel.fold (base_pair h s.History.sid) s.History.weak_out acc)
     Rel.empty (History.schedules h)
 
 type variant = Final | No_forgetting | Eager_forgetting
@@ -172,49 +171,6 @@ let compute_with ?(metrics = Repro_obs.Metrics.null) variant h =
 let compute ?metrics h = compute_with ?metrics Final h
 
 let base = base_rules
-
-(* The base-rule pairs contributed by the extension: every new weak-output
-   pair touches a node [>= n_old] (the orders restricted to shared nodes
-   are unchanged), and the rules' other inputs — leaf-ness, conflict
-   specifications, parents of shared nodes — are static.  So it suffices
-   to replay the rules on the weak-output pairs with a new endpoint,
-   probed by successor set: sources at or above [n_old] contribute all
-   their pairs, older sources only the tail of their successor set.
-   Candidates already observed are filtered by the saturation's membership
-   check, so over-approximation is harmless. *)
-let base_delta h ~n_old =
-  List.fold_left
-    (fun acc (s : History.schedule) ->
-      let emit o o' acc =
-        let acc =
-          if History.is_leaf h o || History.is_leaf h o' then Rel.add o o' acc
-          else acc
-        in
-        if History.conflicts h s.History.sid o o' then begin
-          let p = History.parent_tx h o and p' = History.parent_tx h o' in
-          if p <> p' then Rel.add p p' acc else acc
-        end
-        else acc
-      in
-      (* Walk the operations in place (transactions x children) instead of
-         materializing [ops_of_schedule]'s list, and probe each old
-         source with an allocation-free max-element check before paying
-         for a split: a quiescent schedule then contributes no garbage at
-         all, which is what keeps the monitor's per-append allocation
-         proportional to the delta. *)
-      let source acc o =
-        let ss = Rel.succs s.History.weak_out o in
-        if o >= n_old then Int_set.fold (emit o) ss acc
-        else if (not (Int_set.is_empty ss)) && Int_set.max_elt ss >= n_old
-        then
-          let _, _, news = Int_set.split (n_old - 1) ss in
-          Int_set.fold (emit o) news acc
-        else acc
-      in
-      Int_set.fold
-        (fun t acc -> List.fold_left source acc (History.children h t))
-        s.History.transactions acc)
-    Rel.empty (History.schedules h)
 
 type delta = {
   d_obs : (id * id) list;
@@ -413,41 +369,38 @@ let saturate_dense h inc ~prev_obs delta =
   inc.q_len <- 0;
   (List.rev !added, !n_added)
 
-(* New pairs of one schedule's input order under extension: the order
-   restricted to shared nodes is unchanged (the extension contract), so
-   every new pair touches a new node and is replayed from the source
-   adjacency alone — old sources contribute the tail of their successor
-   sets past [n_old], new sources everything.  The probe per old source
-   is an allocation-free max-element check, so a quiescent schedule costs
-   O(log) per source and allocates nothing. *)
-let input_delta ~n_old ~sources rel acc0 =
-  let acc = ref acc0 in
-  let emit a b = if not (Rel.mem a b !acc) then acc := Rel.add a b !acc in
-  Int_set.iter
-    (fun o ->
-      let ss = Rel.succs rel o in
-      if o >= n_old then Int_set.iter (fun x -> emit o x) ss
-      else if (not (Int_set.is_empty ss)) && Int_set.max_elt ss >= n_old then begin
-        let _, _, news = Int_set.split (n_old - 1) ss in
-        Int_set.iter (fun x -> emit o x) news
-      end)
-    sources;
-  !acc
-
 (* Incremental recomputation for the monitor.  [h] extends the history
    [prev] was computed from, so the old base pairs are still base pairs
    (weak output orders only grow, leaves stay leaves, parents are stable)
    and [prev.obs] = lfp(old base) is a sound seed: the Def. 10 rules are
    monotone, hence lfp(prev.obs ∪ new base) = lfp(new base).  When no new
    base pair appeared, the old closed relation is already the fixpoint and
-   the saturation is skipped entirely.  The input orders are grown the
-   same way — per-schedule delta replay instead of re-unioning every
-   schedule — so the per-append cost tracks the delta, not the prefix. *)
+   the saturation is skipped entirely.  The base rules' other inputs —
+   leaf-ness, conflict specifications, parents of shared nodes — are
+   static, so the new base pairs are the rules replayed on the new
+   weak-output pairs, and the new input pairs are the new pairs of the
+   schedules' input orders: {!History.new_pairs} finds all three, through
+   the history's converse index when it has one.  The per-append cost
+   then tracks the delta, not the prefix. *)
+let via_index = Repro_obs.Labels.v [ ("via", "index") ]
+let via_scan = Repro_obs.Labels.v [ ("via", "scan") ]
+
 let extend ?(metrics = Repro_obs.Metrics.null) ?inc ~prev ~n_old h =
   let enabled = Repro_obs.Metrics.enabled metrics in
   let t0w = if enabled then Repro_obs.Clock.now_wall () else 0.0 in
   let n_new = History.n_nodes h in
-  let delta_base = base_delta h ~n_old in
+  let delta_base = ref Rel.empty in
+  let d_inp = ref Rel.empty and d_inp_strong = ref Rel.empty in
+  let via =
+    History.new_pairs h ~n_old
+      ~weak_out:(fun sid o o' -> delta_base := base_pair h sid o o' !delta_base)
+      ~weak_in:(fun _ a b -> d_inp := Rel.add a b !d_inp)
+      ~strong_in:(fun _ a b -> d_inp_strong := Rel.add a b !d_inp_strong)
+  in
+  Repro_obs.Metrics.incr metrics
+    ~labels:(match via with History.Index -> via_index | History.Scan -> via_scan)
+    "engine.delta";
+  let delta_base = !delta_base and d_inp = !d_inp and d_inp_strong = !d_inp_strong in
   let obs, d_obs, added =
     if Rel.is_empty delta_base then (prev.obs, [], 0)
     else begin
@@ -475,14 +428,6 @@ let extend ?(metrics = Repro_obs.Metrics.null) ?inc ~prev ~n_old h =
     M.observe metrics "compc.obs_delta_base_pairs"
       (float_of_int (Rel.cardinal delta_base))
   end;
-  let d_inp, d_inp_strong =
-    List.fold_left
-      (fun (w, s) (sc : History.schedule) ->
-        let sources = sc.History.transactions in
-        ( input_delta ~n_old ~sources sc.History.weak_in w,
-          input_delta ~n_old ~sources sc.History.strong_in s ))
-      (Rel.empty, Rel.empty) (History.schedules h)
-  in
   let inp = Rel.fold (fun a b r -> Rel.add a b r) d_inp prev.inp in
   let inp_strong =
     Rel.fold (fun a b r -> Rel.add a b r) d_inp_strong prev.inp_strong

@@ -135,25 +135,26 @@ val extend :
     schedules, shared nodes keep identifiers/labels/parents, relations
     restricted to shared nodes only grow (the {!History.prefix_by_roots}
     chain shape).  The base rules only ever add pairs under extension and
-    every new weak-output pair touches a node [>= n_old], so the delta
-    base pairs are replayed from the new endpoints' adjacency alone; the
-    Def. 10 rules are monotone, so the closure is then grown from
-    [prev.obs] by worklist saturation — joining each genuinely new pair
-    against current successors/predecessors and climbing it — instead of
-    restarting the dense fixpoint.  When no new base pair appeared the
-    closed relation is reused as-is.  The input orders are grown the same
-    way: per-schedule replay of the successor-set tails past [n_old]
-    (every new input pair touches a new node, by the extension contract),
-    instead of re-unioning every schedule's full order.  Equals
-    {!compute} [h] (the [Final] variant)
-    on the relations, and the returned {!delta} is exactly the pairwise
-    difference; across a monitored run the total saturation work is
-    proportional to the final closure size.
+    every new weak-output or input pair touches a node [>= n_old], so the
+    delta base pairs are the rules replayed on the new weak-output pairs
+    and the input orders grow by their new pairs, all three found by
+    {!History.new_pairs} — through the converse index of an
+    {!History.extend} chain in O(delta), else by a walk of every
+    schedule.  The Def. 10 rules are monotone, so the closure is then
+    grown from [prev.obs] by worklist saturation — joining each genuinely
+    new pair against current successors/predecessors and climbing it —
+    instead of restarting the dense fixpoint.  When no new base pair
+    appeared the closed relation is reused as-is.  Equals {!compute} [h]
+    (the [Final] variant) on the relations, and the returned {!delta} is
+    exactly the pairwise difference; across a monitored run the total
+    saturation work is proportional to the final closure size.
 
     [inc] supplies the reusable dense mirror; without it a private one is
     built for the call (correct, but the O(|obs|) rebuild recurs on every
     append).  [metrics] additionally receives the histograms
-    [compc.obs_delta_base_pairs] and [compc.obs_saturated_pairs]. *)
+    [compc.obs_delta_base_pairs] and [compc.obs_saturated_pairs], and the
+    counter [engine.delta] labeled [via=index] or [via=scan] with the
+    path {!History.new_pairs} took, once per call. *)
 
 (** {1 Ablation support}
 

@@ -50,6 +50,9 @@ type ccache = {
          floor), so releasing a prefix actually frees its bytes instead of
          leaving a dead lower triangle in place. *)
   tables : (Bytes.t * Bytes.t) option array; (* per schedule: known, value *)
+  decided : int array;
+      (* per schedule: "known" bits set in its table, kept in step as
+         [conflicts] fills it, so [memo_stats] never popcounts *)
   mutable donated : bool;
       (* arrays and tables lent to one extension's cache (see
          [extend_cache]); a second extension of the same snapshot must
@@ -161,6 +164,7 @@ let cache h =
         compiled = Array.map (fun s -> Conflict.compile s.conflict) h.scheds;
         floors = Array.make ns 0;
         tables = Array.make ns None;
+        decided = Array.make ns 0;
         donated = false;
       }
     in
@@ -182,6 +186,60 @@ let ops_of_schedule h s =
     (fun t acc -> List.rev_append (List.rev h.nodes.(t).children) acc)
     h.scheds.(s).transactions []
   |> List.rev
+
+type pair_source = Index | Scan
+
+(* Under extension every new pair of a closed order has an endpoint at or
+   above [n_old].  With the converse index a new node [v] yields its
+   successors and its predecessors below [n_old], so each new pair is met
+   exactly once, from its source if that is new and from its target
+   otherwise.  Without it (a [Builder.seal] history) every schedule's
+   operations and transactions are walked, and each old source is probed
+   with an allocation-free max-element check before any split. *)
+let new_pairs h ~n_old ~weak_out ~weak_in ~strong_in =
+  match h.conv with
+  | Some conv ->
+    let around r c f v =
+      Int_set.iter (fun w -> f v w) (Rel.succs r v);
+      Int_set.iter (fun u -> if u < n_old then f u v) (Rel.succs c v)
+    in
+    for v = n_old to Array.length h.nodes - 1 do
+      let nd = h.nodes.(v) in
+      (match nd.parent with
+      | Some p -> (
+        match h.nodes.(p).sched with
+        | Some s -> around h.scheds.(s).weak_out conv.(s).cweak_out (weak_out s) v
+        | None -> ())
+      | None -> ());
+      match nd.sched with
+      | Some s ->
+        let sc = h.scheds.(s) and cv = conv.(s) in
+        around sc.weak_in cv.cweak_in (weak_in s) v;
+        around sc.strong_in cv.cstrong_in (strong_in s) v
+      | None -> ()
+    done;
+    Index
+  | None ->
+    Array.iter
+      (fun s ->
+        let tail rel f o =
+          let ss = Rel.succs rel o in
+          if o >= n_old then Int_set.iter (f o) ss
+          else if (not (Int_set.is_empty ss)) && Int_set.max_elt ss >= n_old then begin
+            let _, _, news = Int_set.split (n_old - 1) ss in
+            Int_set.iter (f o) news
+          end
+        in
+        let wo = weak_out s.sid and wi = weak_in s.sid and si = strong_in s.sid in
+        let op o = tail s.weak_out wo o in
+        Int_set.iter
+          (fun t ->
+            tail s.weak_in wi t;
+            tail s.strong_in si t;
+            List.iter op h.nodes.(t).children)
+          s.transactions)
+      h.scheds;
+    Scan
 
 let conflicts_uncached h s a b =
   if parent h a = parent h b then false
@@ -224,6 +282,7 @@ let conflicts h s a b =
         let v = Conflict.probe_ids c.compiled.(s) ~get_label:(label h) a b in
         Bytes.unsafe_set known byte
           (Char.unsafe_chr (Char.code (Bytes.unsafe_get known byte) lor mask));
+        c.decided.(s) <- c.decided.(s) + 1;
         if v then
           Bytes.unsafe_set value byte
             (Char.unsafe_chr (Char.code (Bytes.unsafe_get value byte) lor mask));
@@ -231,6 +290,17 @@ let conflicts h s a b =
       end
     end
   end
+
+let popcount =
+  let per_byte =
+    Array.init 256 (fun b ->
+        let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
+        go b 0)
+  in
+  fun bytes ->
+    let n = ref 0 in
+    Bytes.iter (fun c -> n := !n + per_byte.(Char.code c)) bytes;
+    !n
 
 (* Carry a previous snapshot's conflict memo into an extension of it.  The
    monitor certifies a growing prefix: each snapshot repeats every node of
@@ -252,7 +322,10 @@ let conflicts h s a b =
    the same snapshot (the monitor's undo-then-reappend fork) deep-copies
    the old prefix instead, so diverging extensions can never write into
    each other's slots.  [op_count] is always copied — it is the record of
-   [from]'s own rank range, needed to bound a later fork's copy.
+   [from]'s own rank range, needed to bound a later fork's copy — and so
+   is [decided], except on a fork: the copied prefix may hold bits the
+   abandoned extension decided among old operations through the shared
+   tables, so a fork recounts what it copied.
 
    No-op when [h] already has a cache (both caches memoize the same pure
    predicate, so nothing would be gained) or when [from] has none. *)
@@ -325,6 +398,11 @@ let extend_cache ~from h =
           old.tables
       else old.tables
     in
+    let decided =
+      if fork then
+        Array.map (function None -> 0 | Some (known, _) -> popcount known) tables
+      else Array.copy old.decided
+    in
     (* Grow any lent or copied table whose capacity no longer covers the
        extension's pair range (geometric, so a streaming chain amortizes
        the reallocation over the appends that filled the capacity). *)
@@ -351,49 +429,38 @@ let extend_cache ~from h =
     let compiled = Array.map (fun s -> Conflict.compile s.conflict) h.scheds in
     h.ccache <-
       Some
-        { op_index; op_sched; op_count; compiled; floors; tables;
+        { op_index; op_sched; op_count; compiled; floors; tables; decided;
           donated = false }
 
 (* Introspection: how much of the conflict-pair space the memo has decided.
    The total counts one slot per unordered pair of same-schedule operations
-   (the triangular bitmatrix layout); the known count is the popcount of
-   the allocated "known" planes.  No memo yet means nothing decided. *)
+   (the triangular bitmatrix layout); the known count is the sum of the
+   [decided] counters, so a monitored append's gauges cost O(schedules).
+   No memo yet means nothing decided. *)
 let memo_stats h =
-  let popcount_byte =
-    let tbl = Array.init 256 (fun b ->
-        let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
-        go b 0)
-    in
-    fun c -> tbl.(Char.code c)
-  in
-  let total =
-    Array.fold_left
-      (fun acc (s : schedule) ->
-        let m =
-          Int_set.fold
-            (fun t acc -> acc + List.length h.nodes.(t).children)
-            s.transactions 0
-        in
-        acc + (m * (m - 1) / 2))
-      0 h.scheds
-  in
-  let known =
-    match h.ccache with
-    | None -> 0
-    | Some c ->
+  let pairs m = m * (m - 1) / 2 in
+  match h.ccache with
+  | Some c ->
+    ( Array.fold_left ( + ) 0 c.decided,
+      Array.fold_left (fun acc m -> acc + pairs m) 0 c.op_count )
+  | None ->
+    ( 0,
       Array.fold_left
-        (fun acc -> function
-          | None -> acc
-          | Some (k, _) ->
-            let n = ref acc in
-            Bytes.iter (fun byte -> n := !n + popcount_byte byte) k;
-            !n)
-        0 c.tables
-  in
-  (* Tables lent along an extension chain (see [extend_cache]) can carry
-     decided bits for the extension's pairs above this history's own
-     range; clamp so the ratio stays a ratio. *)
-  (min known total, total)
+        (fun acc (s : schedule) ->
+          acc
+          + pairs
+              (Int_set.fold
+                 (fun t acc -> acc + List.length h.nodes.(t).children)
+                 s.transactions 0))
+        0 h.scheds )
+
+let memo_popcount h =
+  match h.ccache with
+  | None -> 0
+  | Some c ->
+    Array.fold_left
+      (fun acc -> function None -> acc | Some (known, _) -> acc + popcount known)
+      0 c.tables
 
 (* Release every schedule's memo rows: raise the floor to the current
    operation count and drop the triangular tables.  Pairs wholly below
@@ -409,7 +476,8 @@ let memo_release h =
   Array.iteri
     (fun s _ ->
       c.floors.(s) <- c.op_count.(s);
-      c.tables.(s) <- None)
+      c.tables.(s) <- None;
+      c.decided.(s) <- 0)
     c.tables
 
 (* Bytes held by the allocated memo planes — the cheap memory-accounting
@@ -1342,6 +1410,7 @@ module View = struct
                         (* Monotone rank map: nr.(hi) > nr.(lo). *)
                         let nbit = (nr.(hi) * (nr.(hi) - 1) / 2) + nr.(lo) in
                         set known nbit;
+                        c.decided.(s.sid) <- c.decided.(s.sid) + 1;
                         if get ovalue obit then set value nbit
                       end
                     end

@@ -104,6 +104,31 @@ val common_op_schedule_id : t -> id -> id -> sched_id
 val ops_of_schedule : t -> sched_id -> id list
 (** All operations of a schedule (children of its transactions). *)
 
+type pair_source =
+  | Index  (** Answered through the converse index of an {!extend} chain. *)
+  | Scan  (** Answered by walking every schedule's operations and transactions. *)
+
+val new_pairs :
+  t ->
+  n_old:int ->
+  weak_out:(sched_id -> id -> id -> unit) ->
+  weak_in:(sched_id -> id -> id -> unit) ->
+  strong_in:(sched_id -> id -> id -> unit) ->
+  pair_source
+(** [new_pairs h ~n_old ~weak_out ~weak_in ~strong_in] calls [weak_out s a
+    b] once for every pair [(a, b)] of schedule [s]'s closed weak output
+    order with [a] or [b] at or above [n_old], and [weak_in] and
+    [strong_in] likewise for its weak and strong input orders, in no
+    particular order.  When [h] extends a history of [n_old] nodes (the
+    contract of {!Repro_core.Engine.extend}), these are exactly the pairs
+    the extension added.  The answer says which path produced them: a
+    history built by {!extend} carries the converse of every closed order,
+    and then each new node contributes its successors and its
+    predecessors below [n_old], O(new nodes × log n + new pairs)
+    ({!Index}); a {!Builder.seal} history has no converse index and every
+    schedule's operations and transactions are walked, O(nodes) with no
+    allocation per quiescent node ({!Scan}). *)
+
 val conflicts : t -> sched_id -> id -> id -> bool
 (** [conflicts h s a b]: does schedule [s]'s own conflict predicate [CON_S]
     relate operations [a] and [b]?  Only meaningful when both are operations
@@ -149,7 +174,17 @@ val memo_stats : t -> int * int
     conflict memo has decided, out of the total pair space (one slot per
     pair, summed over schedules).  [(0, total)] before any probe.  Pure
     introspection for the engine's state report — reads the memo, never
-    fills it. *)
+    fills it.  O(schedules) once the memo exists: [known] sums per-schedule
+    counters that {!conflicts} keeps as it decides pairs ({!memo_release}
+    zeroes them, {!extend_cache} carries them), and [total] comes from the
+    memo's operation counts. *)
+
+val memo_popcount : t -> int
+(** The decided-pair count read the slow way, by popcount of the memo's
+    tables: the O(pairs) reference {!memo_stats}'s counters are tested
+    against.  On the newest history of an extension chain the two agree;
+    an older history shares its tables with its extension and may count
+    the extension's bits here. *)
 
 val memo_release : t -> unit
 (** Release the conflict memo's storage for every operation currently in

@@ -20,6 +20,10 @@ let points : (string * string * (string * string) list) list =
     ("engine.append.path.kernel", "monitor.append", [ ("path", "kernel") ]);
     ("engine.append.path.full", "monitor.append", [ ("path", "full") ]);
     ("engine.appends", "monitor.appends", []);
+    (* How each incremental advance found the append's new pairs: the
+       converse index of an extension chain, or a walk of every schedule. *)
+    ("engine.delta.via.index", "engine.delta", [ ("via", "index") ]);
+    ("engine.delta.via.scan", "engine.delta", [ ("via", "scan") ]);
     (* Bounded-memory streaming decisions. *)
     ("engine.truncations", "engine.truncations", []);
     ("engine.restores", "engine.restores", []);

@@ -14,6 +14,8 @@ module Rel = Repro_order.Rel
 module Metrics = Repro_obs.Metrics
 module Labels = Repro_obs.Labels
 module Sink = Repro_obs.Sink
+module Session = Repro_histlang.Syntax.Session
+module Server = Repro_runtime.Server
 
 let history_of_seed seed =
   let rng = Prng.create ~seed in
@@ -315,6 +317,163 @@ let prop_extend_delta_exact =
       done;
       !ok)
 
+(* The same histories as two extension chains: [prefix_by_roots] (sealed
+   by [Builder.seal], no converse index) and the [Server.Chunks] stream fed
+   through [Syntax.Session] (every history grown by [History.extend]).
+   [session_chain h] returns the sessions after 0..n chunks. *)
+let session_chain h =
+  let { Server.Chunks.preamble; chunks } = Server.Chunks.of_history h in
+  let sessions = Array.make (List.length chunks + 1) (Session.empty ()) in
+  List.iteri
+    (fun i chunk ->
+      sessions.(i + 1) <-
+        Session.feed sessions.(i) (if i = 0 then preamble ^ chunk else chunk))
+    chunks;
+  sessions
+
+(* Every pair [History.new_pairs] reports, tagged by order and schedule. *)
+let reported h ~n_old =
+  let acc = ref [] in
+  let add order s a b = acc := (order, s, a, b) :: !acc in
+  let via =
+    History.new_pairs h ~n_old ~weak_out:(add "weak out") ~weak_in:(add "weak in")
+      ~strong_in:(add "strong in")
+  in
+  (via, List.sort compare !acc)
+
+(* The pairs of [h]'s orders that [prev] lacks, as [reported] tags them. *)
+let order_diff h prev =
+  List.concat_map
+    (fun (s : History.schedule) ->
+      let o = History.schedule prev s.History.sid in
+      List.concat_map
+        (fun (order, rel, old) ->
+          Rel.fold
+            (fun a b acc -> if Rel.mem a b old then acc else (order, s.sid, a, b) :: acc)
+            rel [])
+        [ ("weak out", s.weak_out, o.History.weak_out);
+          ("weak in", s.weak_in, o.weak_in);
+          ("strong in", s.strong_in, o.strong_in) ])
+    (History.schedules h)
+  |> List.sort compare
+
+let same_relations (a : Observed.relations) (b : Observed.relations) =
+  Rel.equal a.obs b.obs && Rel.equal a.inp b.inp
+  && Rel.equal a.inp_strong b.inp_strong
+
+(* Both paths of [History.new_pairs] against the definition: at every
+   append, the converse index (session chain) and the scan
+   ([prefix_by_roots] chain) report exactly the pairs the append added to
+   each schedule's orders, and [Observed.extend] on either chain grows the
+   relations to [Observed.compute] of the prefix, with the exact delta and
+   one [engine.delta] count on the path it took. *)
+let prop_new_pairs_both_paths =
+  QCheck.Test.make ~name:"new pairs: converse index = scan = order diff"
+    ~count:100 arb_seed (fun seed ->
+      let h = history_of_seed seed in
+      let sessions = session_chain h in
+      let metrics = Metrics.create () in
+      let grow chain =
+        let inc = Observed.inc_create () in
+        let prev = ref (Observed.compute (chain 0)) in
+        let ok = ref true in
+        for k = 1 to n_roots h do
+          let p = chain k in
+          let rel, delta =
+            Observed.extend ~metrics ~inc ~prev:!prev
+              ~n_old:(History.n_nodes (chain (k - 1))) p
+          in
+          let exact d grown old = Rel.equal (Rel.of_list d) (Rel.diff grown old) in
+          if
+            not
+              (same_relations rel (Observed.compute p)
+              && exact delta.Observed.d_obs rel.obs !prev.obs
+              && exact delta.d_inp rel.inp !prev.inp
+              && exact delta.d_inp_strong rel.inp_strong !prev.inp_strong)
+          then ok := false;
+          prev := rel
+        done;
+        !ok
+      in
+      let ok = ref true in
+      for k = 1 to n_roots h do
+        let p = History.prefix_by_roots h k and old = History.prefix_by_roots h (k - 1) in
+        let n_old = History.n_nodes old in
+        let via_s, scan = reported p ~n_old in
+        let via_i, index = reported (Session.history sessions.(k)) ~n_old in
+        if not (via_s = History.Scan && via_i = History.Index) then ok := false;
+        if not (scan = index && index = order_diff p old) then ok := false
+      done;
+      let via v = Metrics.counter_value metrics ~labels:(Labels.v [ ("via", v) ]) "engine.delta" in
+      !ok
+      && grow (History.prefix_by_roots h)
+      && grow (fun k -> Session.history sessions.(k))
+      && via "scan" = n_roots h
+      && via "index" = n_roots h)
+
+(* The memo gauges read counters, not tables: at every append of both
+   chains the known count equals a popcount of the memo, and the total
+   equals the operation pairs — also across the undo-and-reappend fork
+   (a fresh copy of the same prefix, so the memo is copied, not lent,
+   after the abandoned extension decided every pair of old operations
+   through the tables it shared), across folds, which release the memo,
+   and on a restricted view, whose memo is seeded from the session's. *)
+let test_memo_counters () =
+  let h = Gen.stack ~stream:true (Prng.create ~seed:42) ~levels:3 ~roots:12 in
+  let { Server.Chunks.preamble; chunks } = Server.Chunks.of_history h in
+  let sessions = session_chain h in
+  let pairs_of h =
+    List.fold_left
+      (fun acc (s : History.schedule) ->
+        let m = List.length (History.ops_of_schedule h s.History.sid) in
+        acc + (m * (m - 1) / 2))
+      0 (History.schedules h)
+  in
+  let probe_all h =
+    List.iter
+      (fun (s : History.schedule) ->
+        let ops = History.ops_of_schedule h s.History.sid in
+        List.iter
+          (fun a ->
+            List.iter (fun b -> if a < b then ignore (History.conflicts h s.sid a b)) ops)
+          ops)
+      (History.schedules h)
+  in
+  let check what h =
+    let known, total = History.memo_stats h in
+    Alcotest.(check int) (what ^ ": known = popcount") (History.memo_popcount h) known;
+    Alcotest.(check int) (what ^ ": total = operation pairs") (pairs_of h) total
+  in
+  let run name fresh ~fork ~fold =
+    let m = Engine.create () in
+    for k = 1 to n_roots h do
+      ignore (Engine.extend m (fresh k));
+      if fork then begin
+        probe_all (Option.get (Engine.history m));
+        Engine.undo m;
+        ignore (Engine.extend m (fresh k))
+      end;
+      if fold && k mod 3 = 0 then Engine.truncate m;
+      let cur = Option.get (Engine.history m) in
+      let what = Printf.sprintf "%s, append %d" name k in
+      check what cur;
+      let all = Repro_order.Ids.Int_set.of_list (List.init (History.n_nodes cur) Fun.id) in
+      check (what ^ ", view") (History.View.to_history (History.View.make cur ~keep:all))
+    done;
+    if fold then Alcotest.(check bool) (name ^ ": folded") true (Engine.truncations m > 0)
+  in
+  (* A fresh copy of the k-th history of each chain. *)
+  let by_roots k = History.prefix_by_roots h k in
+  let by_chunk k =
+    let chunk = List.nth chunks (k - 1) in
+    Session.history (Session.feed sessions.(k - 1) (if k = 1 then preamble ^ chunk else chunk))
+  in
+  List.iter
+    (fun (chain, fresh) ->
+      run (chain ^ ", forked") fresh ~fork:true ~fold:false;
+      run (chain ^ ", folded") fresh ~fork:false ~fold:true)
+    [ ("prefix_by_roots", by_roots); ("session", by_chunk) ]
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -375,7 +534,14 @@ let suite =
           test_kernel_accepting_stream;
         Alcotest.test_case "kernel: rejection inside the old block" `Quick
           test_kernel_rejecting_stream;
+        Alcotest.test_case "memo gauges = table popcount" `Quick
+          test_memo_counters;
       ] );
     qsuite "monitor:props"
-      [ prop_prefix_equivalence; prop_undo_roundtrip; prop_extend_delta_exact ];
+      [
+        prop_prefix_equivalence;
+        prop_undo_roundtrip;
+        prop_extend_delta_exact;
+        prop_new_pairs_both_paths;
+      ];
   ]

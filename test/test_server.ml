@@ -625,6 +625,8 @@ let golden_coverage_keys =
     "engine.append.path.kernel";
     "engine.append.path.full";
     "engine.appends";
+    "engine.delta.via.index";
+    "engine.delta.via.scan";
     "engine.truncations";
     "engine.restores";
     "engine.restore.below_floor";

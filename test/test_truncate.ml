@@ -297,18 +297,7 @@ let test_undo_at_boundary () =
   Engine.truncate s;
   Alcotest.check_raises "engine refuses undo across the fold"
     (Invalid_argument "Engine.undo: cannot roll back across a truncation boundary")
-    (fun () -> Engine.undo s)
-
-let test_monitor_undo_at_boundary () =
-  let h = stack_history () in
-  let m = Engine.create () in
-  for k = 1 to n_roots h do
-    ignore (Engine.extend m (History.prefix_by_roots h k))
-  done;
-  Engine.truncate m;
-  Alcotest.check_raises "monitor refuses undo across the fold"
-    (Invalid_argument "Engine.undo: cannot roll back across a truncation boundary")
-    (fun () -> Engine.undo m);
+    (fun () -> Engine.undo s);
   (* A fresh session refuses with the distinct no-snapshot message. *)
   let fresh = Engine.create () in
   Alcotest.check_raises "no-snapshot message"
@@ -546,8 +535,6 @@ let suite =
     ( "truncate",
       [
         Alcotest.test_case "undo at boundary (engine)" `Quick test_undo_at_boundary;
-        Alcotest.test_case "undo at boundary (monitor)" `Quick
-          test_monitor_undo_at_boundary;
         Alcotest.test_case "truncate; truncate = truncate" `Quick
           test_truncate_idempotent;
         Alcotest.test_case "summary contents" `Quick test_truncate_summary_contents;
